@@ -120,6 +120,14 @@ if [ "$lint_wall" -gt "$LINT_BUDGET_S" ]; then
     exit 1
 fi
 
+echo "==> perfsuite: cargo test + fmt --check (own package, outside the budget)"
+# perfsuite/ is a standalone package the workspace does not build, so a
+# simulator API change could otherwise break the benchmark unnoticed
+# until someone runs it. Its tests include the digest gate: every
+# workload's deterministic digest must still match perfsuite/digests.txt.
+cargo test -q --release --offline --manifest-path perfsuite/Cargo.toml
+cargo fmt --check --manifest-path perfsuite/Cargo.toml
+
 # Throughput watchdog over both bench metrics, against a committed
 # baseline file. A fresh value more than 10% below the baseline prints
 # a warning (shared CI machines are noisy); more than 25% below is

@@ -341,13 +341,20 @@ impl Allowlist {
     }
 }
 
-/// Lints every `.rs` file under `root` (recursively), excusing findings
-/// via `allow`. Paths in findings are relative to `root`. Directories
-/// named `tests`, `benches`, or `examples` are skipped, as is every
+/// Lints every `.rs` file under each of `dirs` (paths relative to
+/// `root`, scanned recursively), excusing findings via `allow`. Paths in
+/// findings are relative to `root`. Directories named `tests`,
+/// `benches`, or `examples` are skipped, as is every
 /// `#[cfg(test)]`-annotated item.
-pub fn lint_sources(root: &Path, allow: &mut Allowlist) -> io::Result<Vec<SourceFinding>> {
+pub fn lint_sources(
+    root: &Path,
+    dirs: &[&str],
+    allow: &mut Allowlist,
+) -> io::Result<Vec<SourceFinding>> {
     let mut findings = Vec::new();
-    walk(root, root, allow, &mut findings)?;
+    for dir in dirs {
+        walk(root, &root.join(dir), allow, &mut findings)?;
+    }
     findings.sort();
     Ok(findings)
 }

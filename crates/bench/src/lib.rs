@@ -1,8 +1,9 @@
 //! # dsb-bench — benchmark kernels
 //!
-//! Small, fixed-size simulation kernels used by the Criterion benches in
-//! `benches/`: one kernel per paper table/figure (exercising that figure's
-//! code path end to end at miniature scale) plus engine microbenchmarks.
+//! Small, fixed-size simulation kernels used by the `dsb-testkit` benches
+//! in `benches/` and the `dsb-bench` binary: one kernel per paper
+//! table/figure (exercising that figure's code path end to end at
+//! miniature scale) plus engine microbenchmarks.
 //!
 //! The *scientific* outputs live in `dsb-experiments`; these kernels
 //! measure the simulator's own performance so regressions in the engine or
@@ -29,13 +30,7 @@ pub fn mini_run_completed(app: &BuiltApp, qps: f64, secs: u64, seed: u64) -> (u6
     let mut load = OpenLoop::new(app.mix.clone(), UserPopulation::uniform(200), seed);
     load.drive(&mut sim, SimTime::ZERO, SimTime::from_secs(secs), qps);
     sim.run_until_idle();
-    let mut completed = 0;
-    for t in 0..16u32 {
-        if let Some(st) = sim.request_stats(RequestType(t)) {
-            completed += st.completed;
-        }
-    }
-    (sim.events_processed(), completed)
+    (sim.events_processed(), completed(&sim))
 }
 
 /// The fig22-style parallel kernel: a multi-rack cluster crunching long
@@ -98,13 +93,15 @@ pub fn fig22_run(workers: usize, qps: f64, secs: u64, seed: u64) -> (u64, u64) {
     let mut load = OpenLoop::new(app.mix.clone(), UserPopulation::uniform(200), seed);
     load.drive(&mut sim, SimTime::ZERO, SimTime::from_secs(secs), qps);
     sim.run_until_idle();
-    let mut completed = 0;
-    for t in 0..16u32 {
-        if let Some(st) = sim.request_stats(RequestType(t)) {
-            completed += st.completed;
-        }
-    }
-    (sim.events_processed(), completed)
+    (sim.events_processed(), completed(&sim))
+}
+
+/// Completed requests summed over every request type the run injected.
+fn completed(sim: &Simulation) -> u64 {
+    (0..sim.request_type_count() as u32)
+        .filter_map(|t| sim.request_stats(RequestType(t)))
+        .map(|st| st.completed)
+        .sum()
 }
 
 #[cfg(test)]

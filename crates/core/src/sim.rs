@@ -1838,9 +1838,12 @@ pub struct Simulation {
     chaos_plan: Option<ChaosPlan>,
     placer: crate::placement::Placer,
     instance_startup: SimDuration,
-    /// Cluster-wide stats/trace views, rebuilt (shard 0, 1, 2, … merge
-    /// order, so floating-point sums are bit-stable) after every run.
+    /// Cluster-wide service stats, re-folded after every run in shard
+    /// order (0, 1, 2, …) so the floating-point sums are bit-stable.
     merged_stats: Vec<ServiceStats>,
+    /// Cluster-wide trace view, synced incrementally after every run:
+    /// only services with new spans and traces with new sampled spans
+    /// are re-merged (see [`TraceCollector::sync_from`]).
     merged_collector: TraceCollector,
     /// Event count at the last merge — skips rebuilds when nothing ran.
     merged_events: u64,
@@ -1916,9 +1919,7 @@ impl Simulation {
                         rng: Rng::new(mix64(seed ^ mix64(0x5EED ^ i as u64))),
                         key_ctr: 0,
                         span_ctr: 0,
-                        stats: (0..nsvc)
-                            .map(|_| ServiceStats::new(cluster.window))
-                            .collect(),
+                        stats: vec![ServiceStats::default(); nsvc],
                         collector: TraceCollector::new(
                             cluster.window,
                             cluster.trace_sample_prob,
@@ -1946,9 +1947,7 @@ impl Simulation {
             chaos_plan: None,
             placer,
             instance_startup: cluster.instance_startup,
-            merged_stats: (0..nsvc)
-                .map(|_| ServiceStats::new(cluster.window))
-                .collect(),
+            merged_stats: vec![ServiceStats::default(); nsvc],
             merged_collector: TraceCollector::new(cluster.window, cluster.trace_sample_prob, cseed),
             merged_events: 0,
         };
@@ -2461,20 +2460,18 @@ impl Simulation {
             return;
         }
         self.merged_events = ev;
-        let nsvc = self.shared.services.len();
-        self.merged_stats.clear();
-        for sid in 0..nsvc {
-            let mut s = self.shards[0].st.stats[sid].clone();
+        for (sid, s) in self.merged_stats.iter_mut().enumerate() {
+            s.clone_from(&self.shards[0].st.stats[sid]);
             for shard in &self.shards[1..] {
                 s.merge(&shard.st.stats[sid]);
             }
-            self.merged_stats.push(s);
         }
-        let mut col = self.shards[0].st.collector.clone();
-        for shard in &self.shards[1..] {
-            col.merge_from(&shard.st.collector);
-        }
-        self.merged_collector = col;
+        let mut collectors: Vec<&mut TraceCollector> = self
+            .shards
+            .iter_mut()
+            .map(|s| &mut s.st.collector)
+            .collect();
+        self.merged_collector.sync_from(&mut collectors);
     }
 
     /// The application being simulated.

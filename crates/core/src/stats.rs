@@ -11,7 +11,7 @@ use dsb_uarch::ExecDomain;
 /// executing core's frequency), and instructions (derived from the
 /// reference-core time and the service's IPC there). Figs. 3, 10 and 14
 /// are read straight out of these counters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Core-busy nanoseconds per domain.
     pub time_ns: [f64; 4],
@@ -32,25 +32,9 @@ pub struct ServiceStats {
     /// `ChaosPlan` fault. Always 0 for non-cache tiers and fault-free
     /// runs.
     pub refill_misses: u64,
-    /// Per-window worker occupancy (busy worker-time), for utilization
-    /// heatmaps and the autoscaler's (misleading) signal.
-    pub worker_busy: WindowedSeries,
 }
 
 impl ServiceStats {
-    pub(crate) fn new(window: SimDuration) -> Self {
-        ServiceStats {
-            time_ns: [0.0; 4],
-            cycles: [0.0; 4],
-            instructions: [0.0; 4],
-            invocations: 0,
-            endpoint_invocations: Vec::new(),
-            dropped: 0,
-            refill_misses: 0,
-            worker_busy: WindowedSeries::new(window),
-        }
-    }
-
     pub(crate) fn charge(
         &mut self,
         domain: ExecDomain,
@@ -90,7 +74,6 @@ impl ServiceStats {
         }
         self.dropped += other.dropped;
         self.refill_misses += other.refill_misses;
-        self.worker_busy.merge(&other.worker_busy);
     }
 
     /// Completed invocations of endpoint index `e` (0 if none completed).
@@ -207,7 +190,7 @@ mod tests {
 
     #[test]
     fn charge_accumulates_three_currencies() {
-        let mut s = ServiceStats::new(SimDuration::from_secs(1));
+        let mut s = ServiceStats::default();
         s.charge(ExecDomain::Kernel, 1000.0, 2.4, 800.0, 1.5, 2.4);
         s.charge(ExecDomain::User, 3000.0, 2.4, 3000.0, 1.5, 2.4);
         assert_eq!(s.time_ns[ExecDomain::Kernel.index()], 1000.0);
@@ -222,7 +205,7 @@ mod tests {
 
     #[test]
     fn fractions_zero_when_empty() {
-        let s = ServiceStats::new(SimDuration::from_secs(1));
+        let s = ServiceStats::default();
         assert_eq!(s.time_fraction(ExecDomain::User), 0.0);
         assert_eq!(s.cycle_fraction(ExecDomain::User), 0.0);
         assert_eq!(s.effective_ipc(), 0.0);

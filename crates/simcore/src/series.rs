@@ -87,8 +87,7 @@ impl WindowedSeries {
     }
 
     /// Merges another series of the same window width into this one,
-    /// window by window — used to combine per-shard series from a
-    /// parallel run into the cluster-wide view.
+    /// window by window.
     ///
     /// # Panics
     ///
@@ -104,6 +103,43 @@ impl WindowedSeries {
         }
         for (a, b) in self.windows.iter_mut().zip(&other.windows) {
             a.merge(b);
+        }
+    }
+
+    /// Makes this series the window-by-window merge of `parts`, touching
+    /// only windows whose summed count differs from this series' count —
+    /// the incremental form of re-merging every part from scratch.
+    ///
+    /// Exact because part counts only grow and [`Histogram`] merging is
+    /// all-integer: a window whose count is unchanged has no new samples,
+    /// and a changed one is re-folded from every part's window. That
+    /// holds as long as this series is written only by syncs from the
+    /// same parts, which is how the simulator keeps its merged views.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any part's window width differs from this series'.
+    pub fn sync_from(&mut self, parts: &[&WindowedSeries]) {
+        let mut len = self.windows.len();
+        for p in parts {
+            assert_eq!(
+                self.window, p.window,
+                "cannot merge series of different window widths"
+            );
+            len = len.max(p.windows.len());
+        }
+        self.windows.resize_with(len, Histogram::compact);
+        for (i, w) in self.windows.iter_mut().enumerate() {
+            let count: u64 = parts.iter().map(|p| p.count(i)).sum();
+            if count == w.count() {
+                continue;
+            }
+            w.reset();
+            for p in parts {
+                if let Some(pw) = p.windows.get(i) {
+                    w.merge(pw);
+                }
+            }
         }
     }
 
@@ -249,6 +285,80 @@ mod tests {
         s.record(SimTime::from_secs(1), 7);
         assert_eq!(s.count(0), 0);
         assert_eq!(s.count(1), 1);
+    }
+
+    use dsb_testkit::Shrink;
+
+    /// One generated observation: `value` recorded into part `part` at
+    /// `at_ms`, then (if `sync`) the merged view is brought up to date.
+    #[derive(Debug, Clone)]
+    struct Obs {
+        part: u8,
+        at_ms: u16,
+        value: u32,
+        sync: bool,
+    }
+
+    impl Shrink for Obs {
+        fn shrink(&self) -> Vec<Self> {
+            let mut out = Vec::new();
+            for at_ms in self.at_ms.shrink() {
+                out.push(Obs { at_ms, ..*self });
+            }
+            for value in self.value.shrink() {
+                out.push(Obs { value, ..*self });
+            }
+            if self.sync {
+                out.push(Obs {
+                    sync: false,
+                    ..*self
+                });
+            }
+            out
+        }
+    }
+
+    /// `sync_from` at arbitrary points — including after late records
+    /// into windows already synced — always equals a from-scratch
+    /// `merge` of every part, field for field.
+    #[test]
+    fn sync_matches_merge_reference() {
+        use dsb_testkit::{gen, prop, prop_assert_eq};
+        const PARTS: usize = 3;
+        prop!(
+            cases = 200,
+            |rng| {
+                gen::vec_with(rng, 1, 80, |r| Obs {
+                    part: gen::u8_in(r, 0, PARTS as u8),
+                    at_ms: gen::u16_in(r, 0, 5_000),
+                    value: gen::u32_in(r, 0, 1 << 20),
+                    sync: gen::u32_in(r, 0, 4) == 0,
+                })
+            },
+            |obs: &Vec<Obs>| {
+                let w = SimDuration::from_secs(1);
+                let mut parts = vec![WindowedSeries::new(w); PARTS];
+                let mut synced = WindowedSeries::new(w);
+                let check = |parts: &[WindowedSeries], synced: &WindowedSeries| {
+                    let mut reference = WindowedSeries::new(w);
+                    for p in parts {
+                        reference.merge(p);
+                    }
+                    prop_assert_eq!(format!("{synced:?}"), format!("{reference:?}"));
+                    Ok(())
+                };
+                for o in obs {
+                    parts[o.part as usize]
+                        .record(SimTime::from_millis(o.at_ms as u64), o.value as u64);
+                    if o.sync {
+                        synced.sync_from(&parts.iter().collect::<Vec<_>>());
+                        check(&parts, &synced)?;
+                    }
+                }
+                synced.sync_from(&parts.iter().collect::<Vec<_>>());
+                check(&parts, &synced)
+            }
+        );
     }
 
     #[test]

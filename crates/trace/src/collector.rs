@@ -53,14 +53,27 @@ impl ServiceTraceStats {
         }
     }
 
-    /// Adds another service's aggregates into this one (shard merge).
-    fn merge(&mut self, other: &ServiceTraceStats) {
-        self.latency.merge(&other.latency);
-        self.latency_windows.merge(&other.latency_windows);
-        self.queue_ns += other.queue_ns;
-        self.app_ns += other.app_ns;
-        self.net_ns += other.net_ns;
-        self.spans += other.spans;
+    /// Re-folds this service's aggregates from `parts` (the same service
+    /// on every shard) unless their summed span count is unchanged.
+    /// Every field is an integer, so the fold is exact in any order.
+    fn sync_from(&mut self, parts: &[&ServiceTraceStats]) {
+        let spans: u64 = parts.iter().map(|p| p.spans).sum();
+        if spans == self.spans {
+            return;
+        }
+        self.latency.reset();
+        self.queue_ns = 0;
+        self.app_ns = 0;
+        self.net_ns = 0;
+        for p in parts {
+            self.latency.merge(&p.latency);
+            self.queue_ns += p.queue_ns;
+            self.app_ns += p.app_ns;
+            self.net_ns += p.net_ns;
+        }
+        let windows: Vec<&WindowedSeries> = parts.iter().map(|p| &p.latency_windows).collect();
+        self.latency_windows.sync_from(&windows);
+        self.spans = spans;
     }
 }
 
@@ -103,6 +116,9 @@ pub struct TraceCollector {
     seed: u64,
     services: Vec<ServiceTraceStats>,
     sampled: BTreeMap<TraceId, Vec<Span>>,
+    /// Traces that gained a sampled span since the last
+    /// [`TraceCollector::sync_from`] drained this log (may repeat).
+    touched: Vec<TraceId>,
     dropped: u64,
 }
 
@@ -126,6 +142,7 @@ impl TraceCollector {
             seed,
             services: Vec::new(),
             sampled: BTreeMap::new(),
+            touched: Vec::new(),
             dropped: 0,
         }
     }
@@ -163,47 +180,61 @@ impl TraceCollector {
             return;
         }
         if self.keeps(span.trace) {
+            self.touched.push(span.trace);
             self.sampled.entry(span.trace).or_default().push(span);
         } else {
             self.dropped += 1;
         }
     }
 
-    /// Folds another collector (a shard's) into this one: per-service
-    /// aggregates merge, sampled spans append per trace in call order,
-    /// dropped counts add.
+    /// Brings this collector up to date as the merge of `shards`, in
+    /// slice order (shard 0, 1, 2, …), at a cost that follows what the
+    /// shards recorded since the last sync rather than the run so far.
     ///
-    /// Callers merging several shards must do so in a fixed order
-    /// (shard 0, 1, 2, …) so the within-trace span order — and
-    /// therefore any serialized trace output — is deterministic.
+    /// The result equals a from-scratch fold of every shard in slice
+    /// order: each sampled trace is the concatenation of its spans on
+    /// shard 0, then shard 1, …, so serialized trace output is
+    /// deterministic. Only traces in the shards' touched logs (drained
+    /// here) are rebuilt, and only services whose summed span count
+    /// moved are re-folded. This collector must be written only by syncs
+    /// from the same shards, and never record spans itself.
     ///
     /// # Panics
     ///
-    /// Panics if the collectors disagree on window width, sampling
-    /// probability, or sampling seed — merged verdicts would be
+    /// Panics if a shard disagrees with this collector on window width,
+    /// sampling probability, or sampling seed — merged verdicts would be
     /// inconsistent otherwise.
-    pub fn merge_from(&mut self, other: &TraceCollector) {
-        assert!(
-            self.window == other.window
-                && self.sample_prob == other.sample_prob
-                && self.seed == other.seed,
-            "cannot merge collectors with different configurations"
-        );
-        if other.services.len() > self.services.len() {
-            let w = self.window;
-            self.services
-                .resize_with(other.services.len(), || ServiceTraceStats::new(w));
+    pub fn sync_from(&mut self, shards: &mut [&mut TraceCollector]) {
+        let mut touched = Vec::new();
+        let mut nsvc = self.services.len();
+        for s in shards.iter_mut() {
+            assert!(
+                self.window == s.window && self.sample_prob == s.sample_prob && self.seed == s.seed,
+                "cannot merge collectors with different configurations"
+            );
+            touched.append(&mut s.touched);
+            nsvc = nsvc.max(s.services.len());
         }
-        for (mine, theirs) in self.services.iter_mut().zip(&other.services) {
-            mine.merge(theirs);
+        let w = self.window;
+        self.services
+            .resize_with(nsvc, || ServiceTraceStats::new(w));
+        for (i, mine) in self.services.iter_mut().enumerate() {
+            let parts: Vec<&ServiceTraceStats> =
+                shards.iter().filter_map(|s| s.services.get(i)).collect();
+            mine.sync_from(&parts);
         }
-        for (trace, spans) in &other.sampled {
-            self.sampled
-                .entry(*trace)
-                .or_default()
-                .extend(spans.iter().cloned());
+        touched.sort_unstable();
+        touched.dedup();
+        for trace in touched {
+            let spans = self.sampled.entry(trace).or_default();
+            spans.clear();
+            for s in shards.iter() {
+                if let Some(theirs) = s.sampled.get(&trace) {
+                    spans.extend_from_slice(theirs);
+                }
+            }
         }
-        self.dropped += other.dropped;
+        self.dropped = shards.iter().map(|s| s.dropped).sum();
     }
 
     /// Aggregates for service `id`, if any span was recorded for it.
@@ -333,5 +364,126 @@ mod tests {
         let s = c.service(0).unwrap();
         assert_eq!(s.latency_windows.count(0), 1);
         assert_eq!(s.latency_windows.count(1), 1);
+    }
+
+    #[test]
+    fn sampling_zero_touches_nothing() {
+        let mut c = TraceCollector::new(SimDuration::from_secs(1), 0.0, 1);
+        c.record(span(1, 0, 0, 100));
+        assert!(c.touched.is_empty());
+    }
+
+    /// The from-scratch fold `sync_from` replaced: clone shard 0, then
+    /// merge every later shard into it in order. Kept as the oracle.
+    fn reference_fold(shards: &[TraceCollector]) -> TraceCollector {
+        let mut out = shards[0].clone();
+        for other in &shards[1..] {
+            if other.services.len() > out.services.len() {
+                let w = out.window;
+                out.services
+                    .resize_with(other.services.len(), || ServiceTraceStats::new(w));
+            }
+            for (mine, theirs) in out.services.iter_mut().zip(&other.services) {
+                mine.latency.merge(&theirs.latency);
+                mine.latency_windows.merge(&theirs.latency_windows);
+                mine.queue_ns += theirs.queue_ns;
+                mine.app_ns += theirs.app_ns;
+                mine.net_ns += theirs.net_ns;
+                mine.spans += theirs.spans;
+            }
+            for (trace, spans) in &other.sampled {
+                out.sampled
+                    .entry(*trace)
+                    .or_default()
+                    .extend(spans.iter().cloned());
+            }
+            out.dropped += other.dropped;
+        }
+        out
+    }
+
+    /// Everything a reader of a merged collector can observe.
+    fn view(c: &TraceCollector) -> String {
+        format!("{:?}\n{:?}\n{}", c.services, c.sampled, c.dropped)
+    }
+
+    use dsb_testkit::Shrink;
+
+    /// One generated span: recorded on shard `shard`, ending at `end_us`
+    /// (random, so later records land in earlier windows too), then (if
+    /// `sync`) the merged collector is brought up to date.
+    #[derive(Debug, Clone)]
+    struct Rec {
+        shard: u8,
+        trace: u8,
+        service: u8,
+        end_us: u32,
+        sync: bool,
+    }
+
+    impl Shrink for Rec {
+        fn shrink(&self) -> Vec<Self> {
+            let mut out = Vec::new();
+            for shard in self.shard.shrink() {
+                out.push(Rec { shard, ..*self });
+            }
+            for trace in self.trace.shrink() {
+                out.push(Rec { trace, ..*self });
+            }
+            for service in self.service.shrink() {
+                out.push(Rec { service, ..*self });
+            }
+            for end_us in self.end_us.shrink() {
+                out.push(Rec { end_us, ..*self });
+            }
+            if self.sync {
+                out.push(Rec {
+                    sync: false,
+                    ..*self
+                });
+            }
+            out
+        }
+    }
+
+    /// Syncing at arbitrary points equals the ordered clone-and-merge
+    /// fold of every shard: aggregates, windows, span order within each
+    /// sampled trace, and the dropped count.
+    #[test]
+    fn sync_matches_reference_fold() {
+        use dsb_testkit::{gen, prop, prop_assert_eq};
+        const SHARDS: usize = 3;
+        prop!(
+            cases = 200,
+            |rng| {
+                gen::vec_with(rng, 1, 100, |r| Rec {
+                    shard: gen::u8_in(r, 0, SHARDS as u8),
+                    trace: gen::u8_in(r, 0, 16),
+                    service: gen::u8_in(r, 0, 4),
+                    end_us: gen::u32_in(r, 1, 4_000_000),
+                    sync: gen::u32_in(r, 0, 5) == 0,
+                })
+            },
+            |recs: &Vec<Rec>| {
+                let new = || TraceCollector::new(SimDuration::from_secs(1), 0.5, 9);
+                let mut shards: Vec<TraceCollector> = (0..SHARDS).map(|_| new()).collect();
+                let mut merged = new();
+                for (i, r) in recs.iter().enumerate() {
+                    let end = r.end_us as u64;
+                    let mut s = span(r.trace as u64, r.service as u32, end - end / 3, end);
+                    s.id = SpanId(i as u64);
+                    shards[r.shard as usize].record(s);
+                    if r.sync {
+                        let expect = view(&reference_fold(&shards));
+                        merged.sync_from(&mut shards.iter_mut().collect::<Vec<_>>());
+                        prop_assert_eq!(view(&merged), expect);
+                    }
+                }
+                let expect = view(&reference_fold(&shards));
+                merged.sync_from(&mut shards.iter_mut().collect::<Vec<_>>());
+                prop_assert_eq!(view(&merged), expect);
+                Ok(())
+            }
+        );
     }
 }

@@ -111,3 +111,30 @@ pub fn summary(app: &BuiltApp, sim: &Simulation) -> String {
     }
     out
 }
+
+/// Serializes every sampled trace, span by span, field by field. Any
+/// divergence in span identity, ordering, or timing between engines
+/// lands here as a byte diff.
+pub fn trace_bytes(sim: &Simulation) -> String {
+    let mut out = String::new();
+    for (trace, spans) in sim.collector().sampled_traces() {
+        let _ = writeln!(out, "trace {}", trace.0);
+        for s in spans {
+            let _ = writeln!(
+                out,
+                "  span {} parent {:?} svc {} ep {} [{}, {}] q={} app={} net={}",
+                s.id.0,
+                s.parent.map(|p| p.0),
+                s.service,
+                s.endpoint,
+                s.start.as_nanos(),
+                s.end.as_nanos(),
+                s.queue_time.as_nanos(),
+                s.app_time.as_nanos(),
+                s.net_time.as_nanos(),
+            );
+        }
+    }
+    let _ = writeln!(out, "dropped {}", sim.collector().dropped_spans());
+    out
+}

@@ -20,8 +20,6 @@
 
 mod common;
 
-use std::fmt::Write as _;
-
 use deathstarbench_sim::analyzer::lookahead_certificate;
 use deathstarbench_sim::apps::{self, BuiltApp};
 use deathstarbench_sim::core::{ClusterSpec, Simulation};
@@ -38,33 +36,6 @@ fn traced_cluster() -> ClusterSpec {
     let mut c = common::fixed_cluster();
     c.trace_sample_prob = 0.25;
     c
-}
-
-/// Serializes every sampled trace, span by span, field by field. Any
-/// divergence in span identity, ordering, or timing between engines
-/// lands here as a byte diff.
-fn trace_bytes(sim: &Simulation) -> String {
-    let mut out = String::new();
-    for (trace, spans) in sim.collector().sampled_traces() {
-        let _ = writeln!(out, "trace {}", trace.0);
-        for s in spans {
-            let _ = writeln!(
-                out,
-                "  span {} parent {:?} svc {} ep {} [{}, {}] q={} app={} net={}",
-                s.id.0,
-                s.parent.map(|p| p.0),
-                s.service,
-                s.endpoint,
-                s.start.as_nanos(),
-                s.end.as_nanos(),
-                s.queue_time.as_nanos(),
-                s.app_time.as_nanos(),
-                s.net_time.as_nanos(),
-            );
-        }
-    }
-    let _ = writeln!(out, "dropped {}", sim.collector().dropped_spans());
-    out
 }
 
 /// Appends one `workers=N secs=X` sample to the timing file `ci.sh`
@@ -102,7 +73,7 @@ fn run_digest(
         sim.events_processed(),
         common::totals(&sim),
         common::summary(app, &sim),
-        trace_bytes(&sim),
+        common::trace_bytes(&sim),
     );
     record_wall_time(workers, wall.elapsed().as_secs_f64());
     digest
