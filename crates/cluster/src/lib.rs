@@ -252,7 +252,6 @@ pub fn provision(
 pub struct QosMonitor {
     rtype: RequestType,
     target: SimDuration,
-    last_seen_count: u64,
     violated_at: Option<SimTime>,
     recovered_at: Option<SimTime>,
     history: Vec<(SimTime, SimDuration, bool)>,
@@ -264,7 +263,6 @@ impl QosMonitor {
         QosMonitor {
             rtype,
             target,
-            last_seen_count: 0,
             violated_at: None,
             recovered_at: None,
             history: Vec::new(),
@@ -283,8 +281,6 @@ impl QosMonitor {
         let p99 = match sim.request_stats(self.rtype) {
             Some(st) => {
                 let w = st.windows.window_count().saturating_sub(1);
-                let _ = self.last_seen_count;
-                self.last_seen_count = st.completed;
                 SimDuration::from_nanos(st.windows.quantile(w, 0.99))
             }
             None => SimDuration::ZERO,

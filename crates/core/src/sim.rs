@@ -10,23 +10,25 @@
 //! [`SharedState`]); anything destined for another shard travels as a
 //! [`Message`] with a pre-minted `(time, key)` identity.
 //!
-//! Two drivers execute the same sharded state:
+//! One engine executes that state. A *lane* is the set of shards one
+//! worker thread owns — shard `s` belongs to lane `s % W` of `W` — and
+//! keeps all their events in a single timing wheel of `(shard, Ev)`
+//! pairs, popped in `(time, key)` order. A handler's message to another
+//! shard of its own lane goes straight into that wheel once the handler
+//! returns; a message to another lane waits in the epoch outbox.
+//! [`dsb_simcore::run_epochs`] drives the lanes. At `W = 1` (the
+//! default) the one lane runs straight to the horizon with no barriers
+//! and no threads: the serial path `dsb-bench` measures. At `W ≥ 2`
+//! each lane gets a thread, and lanes advance in conservative lookahead
+//! windows of `lookahead_ns` (the minimum cross-shard fabric latency),
+//! exchanging cross-lane messages as `(time, key)`-sorted batches at
+//! epoch barriers.
 //!
-//! * **workers = 1** — a single monolithic timing wheel holds every
-//!   shard's events as `(shard, Ev)` pairs and pops them in global
-//!   `(time, key)` order. No barriers, no threads: this is the fast
-//!   serial path benchmarked by `dsb-bench`.
-//! * **workers ≥ 2** — each shard gets its own timing wheel, driven by
-//!   [`dsb_simcore::run_epochs`]: conservative lookahead windows of
-//!   `lookahead_ns` (the minimum cross-shard fabric latency), with
-//!   cross-shard messages exchanged as `(time, key)`-sorted batches at
-//!   epoch barriers.
-//!
-//! Determinism across the two drivers (and any worker count) rests on
-//! one invariant: **every** event's tie-break key is minted from its
-//! shard's own counter — `(shard << 48) | ctr` — never from a wheel's
-//! internal sequence. Per shard, events pop in ascending `(time, key)`
-//! order under both drivers, so each shard sees the identical event
+//! Determinism across worker counts rests on one invariant: **every**
+//! event's tie-break key is minted from its shard's own counter —
+//! `(shard << 48) | ctr` — never from a wheel's internal sequence. Per
+//! shard, events pop in ascending `(time, key)` order however the
+//! shards are dealt into lanes, so each shard sees the identical event
 //! sequence, draws the identical RNG stream, and emits byte-identical
 //! traces and statistics. `tests/parallel_conformance.rs` pins this.
 
@@ -121,7 +123,7 @@ struct MachineMeta {
 /// Network fault state installed by a [`crate::ChaosPlan`]: partition
 /// cuts between machine pairs and per-machine NIC delay multipliers.
 /// Lives in [`SharedState`] (read-only during event runs, mutated only
-/// at chaos boundaries) so both drivers observe identical fault state.
+/// at chaos boundaries) so every lane observes identical fault state.
 #[derive(Debug)]
 struct NetChaos {
     n: usize,
@@ -533,42 +535,32 @@ enum Ev {
 }
 
 // ---------------------------------------------------------------------------
-// Event sink: one handler body, two drivers
+// Event sink
 // ---------------------------------------------------------------------------
 
-/// Where a handler's outputs go. `Mono` targets the single global wheel
-/// (cross-shard messages are staged and drained into it immediately
-/// after the handler returns); `Par` targets the shard's own wheel plus
-/// the epoch outbox. Handlers are generic over this, so the two drivers
-/// execute literally the same code.
-enum Sink<'a> {
-    Mono {
-        shard: u16,
-        wheel: &'a mut Scheduler<(u16, Ev)>,
-        out: &'a mut Vec<(u16, u64, u64, Message)>,
-    },
-    Par {
-        wheel: &'a mut Scheduler<Ev>,
-        out: &'a mut Outbox<Message>,
-    },
+/// Where a handler's outputs go: shard-local events into its lane's
+/// wheel, messages to other shards into the outbox bin of the
+/// destination's lane. The lane files its own bin right after the
+/// handler returns (see [`Lane::run_window`]); other lanes' bins wait
+/// for the epoch exchange.
+struct Sink<'a> {
+    shard: u16,
+    lanes: usize,
+    wheel: &'a mut Scheduler<(u16, Ev)>,
+    out: &'a mut Outbox<(u16, Message)>,
 }
 
 impl Sink<'_> {
     /// Schedules a shard-local event under a shard-minted key.
     fn local(&mut self, at: SimTime, key: u64, ev: Ev) {
-        match self {
-            Sink::Mono { shard, wheel, .. } => wheel.schedule_keyed(at, key, (*shard, ev)),
-            Sink::Par { wheel, .. } => wheel.schedule_keyed(at, key, ev),
-        }
+        self.wheel.schedule_keyed(at, key, (self.shard, ev));
     }
 
-    /// Ships a message to another shard, arriving at absolute `at_ns`
+    /// Ships a message to shard `dst`, arriving at absolute `at_ns`
     /// under the sender-minted `key`.
     fn cross(&mut self, dst: u16, at_ns: u64, key: u64, msg: Message) {
-        match self {
-            Sink::Mono { out, .. } => out.push((dst, at_ns, key, msg)),
-            Sink::Par { out, .. } => out.send(dst as usize, at_ns, key, msg),
-        }
+        let lane = lane_of(dst as usize, self.lanes);
+        self.out.send(lane, at_ns, key, (dst, msg));
     }
 }
 
@@ -615,10 +607,10 @@ struct ShardState {
 impl ShardState {
     /// Mints the next globally-unique tie-break key: `(shard << 48) | ctr`.
     ///
-    /// Both drivers order same-instant events by this key, so the pop
-    /// sequence of a shard is identical whether its events sit in the
-    /// monolithic wheel or its private one — the cornerstone of the
-    /// serial/parallel conformance guarantee.
+    /// Every wheel orders same-instant events by this key, so the pop
+    /// sequence of a shard is the same whichever lane's wheel holds it
+    /// — the cornerstone of the conformance guarantee across worker
+    /// counts.
     fn mint(&mut self) -> u64 {
         self.key_ctr += 1;
         (self.shard as u64) << 48 | self.key_ctr
@@ -633,6 +625,14 @@ impl ShardState {
     fn machine_id(&self) -> MachineId {
         debug_assert!(self.machine.is_some(), "not a machine shard");
         MachineId(self.shard as u32)
+    }
+
+    /// Queues `msg` for arrival on this shard at `at_ns` in `wheel` (its
+    /// lane's), under the key the sending shard minted.
+    fn file_msg(&mut self, wheel: &mut Scheduler<(u16, Ev)>, at_ns: u64, key: u64, msg: Message) {
+        let idx = self.msg_pool.alloc(msg);
+        let at = SimTime::from_nanos(at_ns);
+        wheel.schedule_keyed(at, key, (self.shard, Ev::MsgArrive(idx)));
     }
 
     // -- CPU ---------------------------------------------------------------
@@ -1022,7 +1022,7 @@ impl ShardState {
     /// an error response) or the client (as a failed reply). Used when
     /// the destination instance is down — no CPU or NIC state of the
     /// dead host is touched; the notice travels after the conservative
-    /// lookahead delay, identically under both drivers.
+    /// lookahead delay, identically at every worker count.
     fn post_failed(&mut self, sh: &SharedState, sink: &mut Sink, now: SimTime, rm: RequestMsg) {
         let at = now + SimDuration::from_nanos(sh.lookahead_ns);
         match rm.caller {
@@ -1708,7 +1708,7 @@ impl ShardState {
         let dst_zone = sh.machines[dst_mach.0 as usize].zone;
         let delay = sh.fabric.delay(r.origin, dst_zone, &mut self.rng);
         // Exotic origins (e.g. a Rack zone) could undercut the lookahead
-        // bound; clamp the arrival. Identical in both drivers, and a
+        // bound; clamp the arrival. Identical at every worker count, and a
         // no-op for the standard Client/Edge origins.
         let at = (now + delay).max(now + SimDuration::from_nanos(sh.lookahead_ns));
         let key = self.mint();
@@ -1751,39 +1751,86 @@ fn dispatch(st: &mut ShardState, sh: &SharedState, sink: &mut Sink, now: SimTime
 }
 
 // ---------------------------------------------------------------------------
-// The parallel shard: a wheel + state pair driven by the epoch engine
+// Lanes: one wheel per worker thread, driven by the epoch engine
 // ---------------------------------------------------------------------------
 
+/// A lane's event wheel, padded onto cache lines of its own: a worker
+/// writes its wheel on every event. Unpadded, neighbouring wheels
+/// shared lines, and the two-worker `fig22_sharded` perfsuite workload
+/// lost a third of its throughput on a 2-vCPU Xeon VM (14.8 k vs
+/// 22.0 k req/s).
 #[derive(Debug)]
-struct Shard {
-    sched: Scheduler<Ev>,
-    st: ShardState,
+#[repr(align(128))]
+struct LaneWheel(Scheduler<(u16, Ev)>);
+
+/// `n` empty lane wheels. The wheels' own RNGs are never drawn from.
+fn lane_wheels(n: usize) -> Vec<LaneWheel> {
+    (0..n).map(|_| LaneWheel(Scheduler::new(0))).collect()
 }
 
-impl EpochShard<SharedState> for Shard {
-    type Transfer = Message;
+/// The lane that owns `shard` when `lanes` lanes run: the whole
+/// shard-to-thread assignment policy.
+#[inline]
+fn lane_of(shard: usize, lanes: usize) -> usize {
+    // u32 division: cheaper than u64 on some x86 cores, and shard ids
+    // fit in u16.
+    (shard as u32 % lanes as u32) as usize
+}
+
+/// One worker's share of a run: lane `index` of `count`, its wheel, and
+/// exclusive access to the shards it owns (`shards[s]` is `Some` iff
+/// `lane_of(s, count) == index`).
+struct Lane<'a> {
+    index: usize,
+    count: usize,
+    wheel: &'a mut Scheduler<(u16, Ev)>,
+    shards: Vec<Option<&'a mut ShardState>>,
+}
+
+impl Lane<'_> {
+    /// Queues a message for one of this lane's shards.
+    fn file(&mut self, at_ns: u64, key: u64, dst: u16, msg: Message) {
+        let st = self.shards[dst as usize]
+            .as_deref_mut()
+            .expect("destination shard belongs to this lane");
+        st.file_msg(self.wheel, at_ns, key, msg);
+    }
+}
+
+impl EpochShard<SharedState> for Lane<'_> {
+    type Transfer = (u16, Message);
 
     fn next_event_at(&mut self) -> Option<u64> {
-        self.sched.next_event_at()
+        self.wheel.next_event_at()
     }
 
-    fn run_window(&mut self, sh: &SharedState, last: u64, out: &mut Outbox<Message>) {
+    fn run_window(&mut self, sh: &SharedState, last: u64, out: &mut Outbox<(u16, Message)>) {
         let until = SimTime::from_nanos(last);
-        while let Some(ev) = self.sched.pop_due(until) {
-            let now = self.sched.now();
-            let mut sink = Sink::Par {
-                wheel: &mut self.sched,
+        while let Some((shard, ev)) = self.wheel.pop_due(until) {
+            let now = self.wheel.now();
+            let st = self.shards[shard as usize]
+                .as_deref_mut()
+                .expect("event of a shard this lane owns");
+            let mut sink = Sink {
+                shard,
+                lanes: self.count,
+                wheel: &mut *self.wheel,
                 out: &mut *out,
             };
-            dispatch(&mut self.st, sh, &mut sink, now, ev);
+            dispatch(st, sh, &mut sink, now, ev);
+            // Messages between this lane's own shards skip the epoch
+            // exchange. The wheel orders by `(time, key)` whatever the
+            // insertion order, so filing them now matches absorbing
+            // them at the barrier.
+            for (at, key, (dst, msg)) in out.drain(self.index) {
+                self.file(at, key, dst, msg);
+            }
         }
     }
 
-    fn absorb(&mut self, batch: Vec<Transfer<Message>>) {
-        for (at, key, msg) in batch {
-            let idx = self.st.msg_pool.alloc(msg);
-            self.sched
-                .schedule_keyed(SimTime::from_nanos(at), key, Ev::MsgArrive(idx));
+    fn absorb(&mut self, batch: Vec<Transfer<(u16, Message)>>) {
+        for (at, key, (dst, msg)) in batch {
+            self.file(at, key, dst, msg);
         }
     }
 }
@@ -1817,22 +1864,23 @@ impl EpochShard<SharedState> for Shard {
 #[derive(Debug)]
 pub struct Simulation {
     shared: SharedState,
-    shards: Vec<Shard>,
-    /// The workers=1 driver: one wheel over `(shard, event)` pairs.
-    mono: Scheduler<(u16, Ev)>,
-    /// Cross-shard messages staged by the current mono handler,
-    /// drained into `mono` right after it returns.
-    staged: Vec<(u16, u64, u64, Message)>,
+    shards: Vec<ShardState>,
+    /// One wheel per lane: `min(workers, shards)` of them.
+    lanes: Vec<LaneWheel>,
     workers: usize,
+    /// Events processed by lane wheels that `set_workers` replaced.
+    retired_events: u64,
     /// Pending instance-up transitions: activation time → instances.
     /// Applied between event runs, so shard handlers see instance
-    /// states change only at run boundaries (identically under both
-    /// drivers).
+    /// states change only at run boundaries (identically at every
+    /// worker count).
     control: BTreeMap<u64, Vec<InstanceId>>,
-    last_control: u64,
+    /// Floor of [`Simulation::now`]: the latest applied run boundary,
+    /// or the clock when `set_workers` last replaced the lane wheels.
+    clock_floor: u64,
     /// Pending chaos actions from an installed [`ChaosPlan`], applied at
     /// run boundaries exactly like `control` — the placement that makes
-    /// fault injection byte-identical across drivers and worker counts.
+    /// fault injection byte-identical across worker counts.
     chaos: BTreeMap<u64, Vec<ChaosAction>>,
     /// The installed plan, kept as ground truth for detection scorers.
     chaos_plan: Option<ChaosPlan>,
@@ -1897,7 +1945,7 @@ impl Simulation {
         };
         shared.rebuild_core_caches();
         let shard_count = cluster.machines.len() + 1;
-        let shards: Vec<Shard> = (0..shard_count)
+        let shards: Vec<ShardState> = (0..shard_count)
             .map(|i| {
                 let machine = cluster.machines.get(i).map(|m| MachineRt {
                     cores: m.cores,
@@ -1906,31 +1954,28 @@ impl Simulation {
                     run_queue: VecDeque::with_capacity(16),
                     util: UtilizationTracker::new(cluster.window, m.cores),
                 });
-                Shard {
-                    sched: Scheduler::new(mix64(seed ^ 0xD5B ^ i as u64)),
-                    st: ShardState {
-                        shard: i as u16,
-                        machine,
-                        insts: Vec::new(),
-                        outstanding: Vec::new(),
-                        rr: vec![0; nsvc],
-                        invocations: Slab::with_capacity(64),
-                        frame_pool: Vec::new(),
-                        rng: Rng::new(mix64(seed ^ mix64(0x5EED ^ i as u64))),
-                        key_ctr: 0,
-                        span_ctr: 0,
-                        stats: vec![ServiceStats::default(); nsvc],
-                        collector: TraceCollector::new(
-                            cluster.window,
-                            cluster.trace_sample_prob,
-                            cseed,
-                        ),
-                        request_stats: Vec::new(),
-                        next_req: 0,
-                        job_pool: Pool::with_capacity(64),
-                        msg_pool: Pool::with_capacity(64),
-                        inject_pool: Pool::with_capacity(64),
-                    },
+                ShardState {
+                    shard: i as u16,
+                    machine,
+                    insts: Vec::new(),
+                    outstanding: Vec::new(),
+                    rr: vec![0; nsvc],
+                    invocations: Slab::with_capacity(64),
+                    frame_pool: Vec::new(),
+                    rng: Rng::new(mix64(seed ^ mix64(0x5EED ^ i as u64))),
+                    key_ctr: 0,
+                    span_ctr: 0,
+                    stats: vec![ServiceStats::default(); nsvc],
+                    collector: TraceCollector::new(
+                        cluster.window,
+                        cluster.trace_sample_prob,
+                        cseed,
+                    ),
+                    request_stats: Vec::new(),
+                    next_req: 0,
+                    job_pool: Pool::with_capacity(64),
+                    msg_pool: Pool::with_capacity(64),
+                    inject_pool: Pool::with_capacity(64),
                 }
             })
             .collect();
@@ -1938,11 +1983,11 @@ impl Simulation {
         let mut sim = Simulation {
             shared,
             shards,
-            mono: Scheduler::new(seed ^ 0xD5B),
-            staged: Vec::new(),
+            lanes: lane_wheels(1),
             workers: 1,
+            retired_events: 0,
             control: BTreeMap::new(),
-            last_control: 0,
+            clock_floor: 0,
             chaos: BTreeMap::new(),
             chaos_plan: None,
             placer,
@@ -1977,60 +2022,34 @@ impl Simulation {
         self.shared.services[service.0 as usize].instances.push(id);
         self.shared.chaos_cold.push(0);
         for shard in &mut self.shards {
-            shard.st.insts.push(InstRt::default());
-            shard.st.outstanding.push(0);
+            shard.insts.push(InstRt::default());
+            shard.outstanding.push(0);
         }
         id
     }
 
-    // -- Drivers -------------------------------------------------------------
+    // -- Driver --------------------------------------------------------------
 
+    /// Deals the shards into their lanes and runs every event at or
+    /// before `until_ns`.
     fn run_events(&mut self, until_ns: u64) {
-        if self.workers <= 1 {
-            self.run_mono(until_ns);
-        } else {
-            run_epochs(
-                &self.shared,
-                &mut self.shards,
-                self.shared.lookahead_ns,
-                until_ns,
-                self.workers,
-            );
+        let count = self.lanes.len();
+        let n = self.shards.len();
+        let mut lanes: Vec<Lane> = self
+            .lanes
+            .iter_mut()
+            .enumerate()
+            .map(|(index, w)| Lane {
+                index,
+                count,
+                wheel: &mut w.0,
+                shards: (0..n).map(|_| None).collect(),
+            })
+            .collect();
+        for (s, st) in self.shards.iter_mut().enumerate() {
+            lanes[lane_of(s, count)].shards[s] = Some(st);
         }
-    }
-
-    fn run_mono(&mut self, until_ns: u64) {
-        let until = SimTime::from_nanos(until_ns);
-        while let Some((shard, ev)) = self.mono.pop_due(until) {
-            let now = self.mono.now();
-            {
-                let st = &mut self.shards[shard as usize].st;
-                let mut sink = Sink::Mono {
-                    shard,
-                    wheel: &mut self.mono,
-                    out: &mut self.staged,
-                };
-                dispatch(st, &self.shared, &mut sink, now, ev);
-            }
-            if !self.staged.is_empty() {
-                self.drain_staged();
-            }
-        }
-    }
-
-    /// Files staged cross-shard messages into the destination shards'
-    /// payload pools and the global wheel. The wheel orders by
-    /// `(time, key)` regardless of insertion order, so draining right
-    /// after each handler matches the parallel driver's barrier-time
-    /// absorption exactly.
-    fn drain_staged(&mut self) {
-        let mut staged = std::mem::take(&mut self.staged);
-        for (dst, at, key, msg) in staged.drain(..) {
-            let idx = self.shards[dst as usize].st.msg_pool.alloc(msg);
-            self.mono
-                .schedule_keyed(SimTime::from_nanos(at), key, (dst, Ev::MsgArrive(idx)));
-        }
-        self.staged = staged;
+        run_epochs(&self.shared, &mut lanes, self.shared.lookahead_ns, until_ns);
     }
 
     fn apply_control(&mut self, tc: u64) {
@@ -2041,7 +2060,7 @@ impl Simulation {
                     m.state = InstanceState::Up;
                 }
             }
-            self.last_control = self.last_control.max(tc);
+            self.clock_floor = self.clock_floor.max(tc);
         }
     }
 
@@ -2063,11 +2082,10 @@ impl Simulation {
 
     /// Installs a fault-injection plan: its expanded schedule is applied
     /// at run boundaries (between event runs), so faults take effect at
-    /// quiesced instants — byte-identically under the serial and the
-    /// sharded driver at any worker count. Partition timeouts are
-    /// clamped up to the cluster lookahead so the epoch engine stays
-    /// conservative (the DSB015 floor). The plan is retained as ground
-    /// truth, exposed via [`Simulation::chaos_plan`].
+    /// quiesced instants — byte-identically at any worker count.
+    /// Partition timeouts are clamped up to the cluster lookahead so the
+    /// epoch engine stays conservative (the DSB015 floor). The plan is
+    /// retained as ground truth, exposed via [`Simulation::chaos_plan`].
     pub fn install_chaos(&mut self, plan: &ChaosPlan) {
         for (t, mut a) in plan.schedule() {
             if let ChaosAction::StartPartition { timeout, .. } = &mut a {
@@ -2145,7 +2163,7 @@ impl Simulation {
                 }
             }
         }
-        self.last_control = self.last_control.max(tc);
+        self.clock_floor = self.clock_floor.max(tc);
     }
 
     fn net_chaos(&mut self) -> &mut NetChaos {
@@ -2219,7 +2237,7 @@ impl Simulation {
     }
 
     fn reset_inst_rt(&mut self, shard: usize, id: InstanceId) {
-        let rt = &mut self.shards[shard].st.insts[id.0 as usize];
+        let rt = &mut self.shards[shard].insts[id.0 as usize];
         debug_assert!(rt.queue.is_empty(), "queue drained at crash time");
         rt.busy_workers = 0;
         rt.warm_free = 0;
@@ -2238,7 +2256,6 @@ impl Simulation {
         let is_victim = |inst: InstanceId| victims.iter().any(|v| *v == inst);
         // In-flight invocations (slab order is deterministic per shard).
         let keys: Vec<SlabKey> = self.shards[shard]
-            .st
             .invocations
             .iter()
             .filter(|(_, inv)| is_victim(inv.instance))
@@ -2246,7 +2263,6 @@ impl Simulation {
             .collect();
         for k in keys {
             let inv = self.shards[shard]
-                .st
                 .invocations
                 .remove(k)
                 .expect("collected live key");
@@ -2270,7 +2286,7 @@ impl Simulation {
         }
         // Queued (not yet started) requests, then reset the runtimes.
         for &id in victims {
-            let queued: Vec<PendingReq> = self.shards[shard].st.insts[id.0 as usize]
+            let queued: Vec<PendingReq> = self.shards[shard].insts[id.0 as usize]
                 .queue
                 .drain(..)
                 .collect();
@@ -2302,51 +2318,37 @@ impl Simulation {
 
     /// Delivers a boundary-time failure notice into the destination
     /// shard's queue, keyed from the *sending* shard's counter — the
-    /// same identity rule event handlers follow, so both drivers order
-    /// the notices identically.
+    /// same identity rule event handlers follow, so every worker count
+    /// orders the notices identically.
     fn post_boundary_msg(&mut self, from: usize, at_ns: u64, msg: Message) {
         let dst = match &msg {
             Message::Request(rm) => self.shared.insts[rm.dst.0 as usize].machine.0 as usize,
             Message::Response(r) => r.to_machine.0 as usize,
             Message::ClientReply { .. } => self.shards.len() - 1,
         };
-        let key = self.shards[from].st.mint();
-        let idx = self.shards[dst].st.msg_pool.alloc(msg);
-        let at = SimTime::from_nanos(at_ns);
-        if self.workers <= 1 {
-            self.mono
-                .schedule_keyed(at, key, (dst as u16, Ev::MsgArrive(idx)));
-        } else {
-            self.shards[dst]
-                .sched
-                .schedule_keyed(at, key, Ev::MsgArrive(idx));
-        }
+        let key = self.shards[from].mint();
+        let lane = lane_of(dst, self.lanes.len());
+        let wheel = &mut self.lanes[lane].0;
+        self.shards[dst].file_msg(wheel, at_ns, key, msg);
     }
 
     // -- Run control ---------------------------------------------------------
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        let mut t = self.mono.now().as_nanos().max(self.last_control);
-        for s in &self.shards {
-            t = t.max(s.sched.now().as_nanos());
-        }
-        SimTime::from_nanos(t)
+        let t = self.lanes.iter().map(|l| l.0.now().as_nanos());
+        SimTime::from_nanos(t.fold(self.clock_floor, u64::max))
     }
 
     /// Total events processed (summed across shards).
     pub fn events_processed(&self) -> u64 {
-        self.mono.events_processed()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.sched.events_processed())
-                .sum::<u64>()
+        let lanes: u64 = self.lanes.iter().map(|l| l.0.events_processed()).sum();
+        self.retired_events + lanes
     }
 
     /// Events still pending across all shards.
     pub fn pending(&self) -> usize {
-        self.mono.pending() + self.shards.iter().map(|s| s.sched.pending()).sum::<usize>()
+        self.lanes.iter().map(|l| l.0.pending()).sum()
     }
 
     /// Runs until all pending events (including in-flight requests) drain.
@@ -2376,21 +2378,27 @@ impl Simulation {
         self.refresh_merged();
     }
 
-    /// Sets the number of worker threads used by subsequent runs. `1`
-    /// (the default) selects the serial driver; higher counts run the
-    /// epoch-synchronized parallel driver — with byte-identical results.
+    /// Sets the number of worker threads used by subsequent runs: the
+    /// shards are dealt into `min(n, shards)` lanes, one thread each,
+    /// with byte-identical results at every count. `1` (the default)
+    /// runs on the calling thread with no epoch barriers. `now()` and
+    /// `events_processed()` carry over unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if events are pending: the two drivers keep their queues
-    /// in different wheels, so the switch must happen at a quiescent
-    /// point (construction time, or after `run_until_idle`).
+    /// Panics if events are pending: each pending event sits in the
+    /// wheel of its shard's lane, and the switch replaces those wheels,
+    /// so it must happen at a quiescent point (construction time, or
+    /// after `run_until_idle`).
     pub fn set_workers(&mut self, n: usize) {
         assert!(
             self.pending() == 0,
             "set_workers requires a drained event queue"
         );
+        self.clock_floor = self.now().as_nanos();
+        self.retired_events = self.events_processed();
         self.workers = n.max(1);
+        self.lanes = lane_wheels(self.workers.min(self.shards.len()));
     }
 
     /// The configured worker count.
@@ -2399,7 +2407,7 @@ impl Simulation {
     }
 
     /// The conservative cross-shard lookahead bound, in nanoseconds:
-    /// the parallel driver's epoch window width.
+    /// the epoch window width when two or more lanes run.
     pub fn lookahead_ns(&self) -> u64 {
         self.shared.lookahead_ns
     }
@@ -2427,29 +2435,23 @@ impl Simulation {
         partition_key: u64,
         origin: Zone,
     ) {
-        // Clamp into the present so both drivers see the same arrival
-        // (each wheel would otherwise clamp against its own clock).
+        // Clamp into the present so every worker count sees the same
+        // arrival (each lane's wheel would otherwise clamp against its
+        // own clock).
         let at = at.max(self.now());
         let cs = self.shards.len() - 1;
-        let (id, key) = {
-            let st = &mut self.shards[cs].st;
-            let id = st.inject_pool.alloc(InjectReq {
-                entry,
-                rtype,
-                bytes,
-                partition_key,
-                origin,
-            });
-            (id, st.mint())
-        };
-        if self.workers <= 1 {
-            self.mono
-                .schedule_keyed(at, key, (cs as u16, Ev::Inject(id)));
-        } else {
-            self.shards[cs]
-                .sched
-                .schedule_keyed(at, key, Ev::Inject(id));
-        }
+        let st = &mut self.shards[cs];
+        let id = st.inject_pool.alloc(InjectReq {
+            entry,
+            rtype,
+            bytes,
+            partition_key,
+            origin,
+        });
+        let key = st.mint();
+        let lane = lane_of(cs, self.lanes.len());
+        let wheel = &mut self.lanes[lane].0;
+        wheel.schedule_keyed(at, key, (cs as u16, Ev::Inject(id)));
     }
 
     // -- Merged views --------------------------------------------------------
@@ -2461,16 +2463,13 @@ impl Simulation {
         }
         self.merged_events = ev;
         for (sid, s) in self.merged_stats.iter_mut().enumerate() {
-            s.clone_from(&self.shards[0].st.stats[sid]);
+            s.clone_from(&self.shards[0].stats[sid]);
             for shard in &self.shards[1..] {
-                s.merge(&shard.st.stats[sid]);
+                s.merge(&shard.stats[sid]);
             }
         }
-        let mut collectors: Vec<&mut TraceCollector> = self
-            .shards
-            .iter_mut()
-            .map(|s| &mut s.st.collector)
-            .collect();
+        let mut collectors: Vec<&mut TraceCollector> =
+            self.shards.iter_mut().map(|s| &mut s.collector).collect();
         self.merged_collector.sync_from(&mut collectors);
     }
 
@@ -2484,7 +2483,6 @@ impl Simulation {
         self.shards
             .last()
             .expect("client shard always exists")
-            .st
             .request_stats
             .get(rtype.0 as usize)
     }
@@ -2510,7 +2508,7 @@ impl Simulation {
 
     fn inst_rt(&self, id: InstanceId) -> &InstRt {
         let owner = self.shared.insts[id.0 as usize].machine.0 as usize;
-        &self.shards[owner].st.insts[id.0 as usize]
+        &self.shards[owner].insts[id.0 as usize]
     }
 
     /// Instantaneous worker occupancy of a service in `[0, 1]`: busy
@@ -2551,7 +2549,6 @@ impl Simulation {
     /// Mean core utilization of machine `m` in window `w`.
     pub fn machine_utilization(&self, m: MachineId, w: usize) -> f64 {
         self.shards[m.0 as usize]
-            .st
             .machine
             .as_ref()
             .expect("machine shard")
@@ -2615,7 +2612,6 @@ impl Simulation {
     /// Cores of machine `m` currently executing jobs.
     pub fn machine_busy_cores(&self, m: MachineId) -> u32 {
         self.shards[m.0 as usize]
-            .st
             .machine
             .as_ref()
             .expect("machine shard")
@@ -2625,7 +2621,6 @@ impl Simulation {
     /// Total cores of machine `m`.
     pub fn machine_cores(&self, m: MachineId) -> u32 {
         self.shards[m.0 as usize]
-            .st
             .machine
             .as_ref()
             .expect("machine shard")
@@ -2636,7 +2631,6 @@ impl Simulation {
     /// scheduled onto a core).
     pub fn machine_run_queue(&self, m: MachineId) -> usize {
         self.shards[m.0 as usize]
-            .st
             .machine
             .as_ref()
             .expect("machine shard")
@@ -2687,7 +2681,6 @@ impl Simulation {
         self.shards
             .last()
             .expect("client shard always exists")
-            .st
             .request_stats
             .len()
     }
@@ -2778,7 +2771,7 @@ impl Simulation {
     pub fn set_conn_limit(&mut self, service: ServiceId, limit: u32) {
         self.shared.services[service.0 as usize].spec.conn_limit = limit.max(1);
         for shard in &mut self.shards {
-            for inst in &mut shard.st.insts {
+            for inst in &mut shard.insts {
                 if let Some(pool) = inst.conns.get_mut(&service) {
                     pool.limit = limit.max(1);
                 }
@@ -3384,8 +3377,8 @@ mod tests {
         );
     }
 
-    /// The cornerstone smoke test: the serial and parallel drivers must
-    /// produce identical observables. (The full matrix lives in
+    /// The cornerstone smoke test: every worker count must produce the
+    /// serial run's observables. (The full matrix lives in
     /// `tests/parallel_conformance.rs`.)
     #[test]
     fn workers_equivalent_to_serial() {
@@ -3407,16 +3400,26 @@ mod tests {
             );
             (app.build(), root)
         };
-        let run = |workers: usize| {
+        // Two phases of 100 requests with a drain between them, where
+        // the worker count switches from `first` to `second`.
+        let run = |first: usize, second: usize| {
             let (app, ep) = build();
             let mut cluster = ClusterSpec::xeon_cluster(4, 2);
             cluster.trace_sample_prob = 1.0;
             let mut sim = Simulation::new(app, cluster, 99);
-            sim.set_workers(workers);
-            for i in 0..200u64 {
-                sim.inject(SimTime::from_micros(i * 40), ep, RequestType(0), 128, i);
+            sim.set_workers(first);
+            for phase in 0..2u64 {
+                if phase == 1 {
+                    let before = (sim.now(), sim.events_processed());
+                    sim.set_workers(second);
+                    assert_eq!((sim.now(), sim.events_processed()), before);
+                }
+                for i in 0..100u64 {
+                    let at = SimTime::from_micros(phase * 10_000 + i * 40);
+                    sim.inject(at, ep, RequestType(0), 128, phase * 100 + i);
+                }
+                sim.run_until_idle();
             }
-            sim.run_until_idle();
             let st = sim.request_stats(RequestType(0)).unwrap();
             let spans: Vec<_> = sim
                 .collector()
@@ -3428,6 +3431,7 @@ mod tests {
                 })
                 .collect();
             (
+                sim.now(),
                 sim.events_processed(),
                 st.completed,
                 st.latency.quantile(0.5),
@@ -3435,10 +3439,14 @@ mod tests {
                 spans,
             )
         };
-        let serial = run(1);
-        assert_eq!(serial.1, 200);
-        for w in [2, 4] {
-            assert_eq!(run(w), serial, "workers={w} diverged from serial");
+        let serial = run(1, 1);
+        assert_eq!(serial.2, 200);
+        // 5 shards: 3 workers deal uneven lanes, 8 outnumber the shards.
+        for w in [2, 3, 4, 8] {
+            assert_eq!(run(w, w), serial, "workers={w} diverged from serial");
+        }
+        for (a, b) in [(1, 4), (4, 1)] {
+            assert_eq!(run(a, b), serial, "switching {a} -> {b} workers diverged");
         }
     }
 }

@@ -336,23 +336,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Creates a scheduler whose tie-break sequence numbers start at
-    /// `(shard as u64) << 48` instead of zero.
-    ///
-    /// A parallel run gives every shard its own scheduler; tagging the
-    /// sequence space with the shard index keeps keys globally unique,
-    /// so events transferred between shards (via
-    /// [`Scheduler::mint_key`] / [`Scheduler::schedule_keyed`]) never
-    /// collide with locally minted ones and `(at, key)` stays a total
-    /// order across the whole cluster. A single shard minting more than
-    /// 2^48 events would overflow into the next shard's tag; that is
-    /// ~10^14 events, far beyond any run this engine targets.
-    pub fn with_seq_base(seed: u64, shard: u16) -> Self {
-        let mut s = Scheduler::new(seed);
-        s.seq = (shard as u64) << 48;
-        s
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -402,24 +385,14 @@ impl<E> Scheduler<E> {
         self.schedule_at(self.now, ev);
     }
 
-    /// Mints a fresh tie-break key without scheduling anything.
-    ///
-    /// A shard sending an event to another shard mints the key on the
-    /// *sender* (where the causal order is known) and ships it with the
-    /// message; the receiver inserts it verbatim via
-    /// [`Scheduler::schedule_keyed`]. Because each shard's sequence
-    /// space carries its own tag (see [`Scheduler::with_seq_base`]),
-    /// sender-minted keys can never collide with receiver-local ones.
-    pub fn mint_key(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
     /// Schedules `ev` at `at` under a caller-supplied tie-break key
-    /// (from [`Scheduler::mint_key`], possibly on another shard's
-    /// scheduler) instead of minting a local one.
+    /// instead of minting a local one.
     ///
-    /// Same past-clamping rule as [`Scheduler::schedule_at`].
+    /// Sharded models mint keys themselves, tagged with the shard index
+    /// so they are unique cluster-wide, and ship them with cross-shard
+    /// messages; the receiver inserts them verbatim, so its pop order
+    /// does not depend on which queue an event passed through. Same
+    /// past-clamping rule as [`Scheduler::schedule_at`].
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, ev: E) {
         let at = at.max(self.now);
         self.queue.push(at.as_nanos(), key, ev);

@@ -16,14 +16,14 @@
 //!
 //! # Determinism
 //!
-//! Cross-shard transfers carry a `(time, key)` pair minted on the
-//! *sender* (see [`Scheduler::mint_key`](crate::Scheduler::mint_key)):
-//! the receiver inserts them verbatim, so its pop order — ascending
-//! `(time, key)` — is independent of worker count, barrier timing, and
-//! mailbox arrival order. Batches are sorted before absorption, and
-//! keys are globally unique (each shard's key space carries its shard
-//! index in the upper bits), making the sort a total order. The result:
-//! a run with 8 workers is byte-identical to the same run with 1.
+//! Cross-shard transfers carry a `(time, key)` pair minted by the
+//! *sender's* model: the receiver inserts them verbatim (see
+//! [`Scheduler::schedule_keyed`](crate::Scheduler::schedule_keyed)), so
+//! its pop order — ascending `(time, key)` — is independent of thread
+//! count, barrier timing, and mailbox arrival order. Batches are sorted
+//! before absorption, and keys are globally unique (a model tags each
+//! shard's key space with the shard index in the upper bits, e.g.
+//! `(shard << 48) | counter`), making the sort a total order.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -55,6 +55,13 @@ impl<T> Outbox<T> {
         self.bins[dst].push((at, key, payload));
     }
 
+    /// Removes and yields the transfers staged for `dst`. A shard that
+    /// stands for several model partitions uses this to deliver its own
+    /// internal sends at once instead of through the epoch exchange.
+    pub fn drain(&mut self, dst: usize) -> std::vec::Drain<'_, Transfer<T>> {
+        self.bins[dst].drain(..)
+    }
+
     /// True if no transfer is staged.
     pub fn is_empty(&self) -> bool {
         self.bins.iter().all(Vec::is_empty)
@@ -78,6 +85,8 @@ pub trait EpochShard<C: ?Sized>: Send {
     /// (inclusive), staging cross-shard sends in `out`. Events
     /// scheduled during the window that still fall inside it must also
     /// be processed — i.e. drain until the queue head is past `last`.
+    /// Sends to this shard itself must not be left in `out`: deliver
+    /// them directly (see [`Outbox::drain`]).
     fn run_window(&mut self, ctx: &C, last: u64, out: &mut Outbox<Self::Transfer>);
 
     /// Accepts a batch of inbound transfers, sorted ascending by
@@ -159,29 +168,30 @@ type Mailbox<T> = Vec<Mutex<Vec<Transfer<T>>>>;
 ///
 /// `lookahead_ns` must be a positive lower bound on every cross-shard
 /// latency: a transfer staged at time `t` must arrive at `t +
-/// lookahead_ns` or later. `workers <= 1` runs the same epoch protocol
-/// inline on the calling thread; `workers >= 2` fans the shards out
-/// round-robin (shard `i` to worker `i % workers`) over that many OS
-/// threads. The per-shard event sequence — and therefore every
-/// observable result — is identical for every worker count.
+/// lookahead_ns` or later. Two or more shards run on one OS thread
+/// each, so a model that wants fewer threads than partitions passes
+/// coarser shards. A lone shard has no peer that could send it
+/// anything: it runs on the calling thread, straight to `until_ns`, in
+/// a single window. Either way each shard handles its events in the
+/// `(time, key)` order one global queue would give them.
 ///
 /// # Panics
 ///
 /// Panics if `lookahead_ns` is zero.
-pub fn run_epochs<C, S>(ctx: &C, shards: &mut [S], lookahead_ns: u64, until_ns: u64, workers: usize)
+pub fn run_epochs<C, S>(ctx: &C, shards: &mut [S], lookahead_ns: u64, until_ns: u64)
 where
     C: Sync + ?Sized,
     S: EpochShard<C>,
 {
     assert!(lookahead_ns > 0, "lookahead must be positive");
-    if shards.is_empty() {
-        return;
-    }
-    let workers = workers.clamp(1, shards.len());
-    if workers <= 1 {
-        run_epochs_inline(ctx, shards, lookahead_ns, until_ns);
-    } else {
-        pool::run_epochs_threaded(ctx, shards, lookahead_ns, until_ns, workers);
+    match shards {
+        [] => {}
+        [lone] => {
+            let mut out = Outbox::new(1);
+            lone.run_window(ctx, until_ns, &mut out);
+            debug_assert!(out.is_empty(), "shard staged a transfer to itself");
+        }
+        _ => pool::run_epochs_threaded(ctx, shards, lookahead_ns, until_ns),
     }
 }
 
@@ -190,53 +200,6 @@ where
 #[inline]
 fn window_last(start: u64, lookahead_ns: u64, until_ns: u64) -> u64 {
     start.saturating_add(lookahead_ns - 1).min(until_ns)
-}
-
-/// Single-threaded epoch loop: same protocol, no barriers. This is the
-/// `workers <= 1` path of [`run_epochs`], and it lets the property
-/// suite differentially test the epoch protocol itself (not just its
-/// threaded execution) against a flat single-queue reference.
-fn run_epochs_inline<C, S>(ctx: &C, shards: &mut [S], lookahead_ns: u64, until_ns: u64)
-where
-    C: ?Sized,
-    S: EpochShard<C>,
-{
-    let n = shards.len();
-    let mut out = Outbox::new(n);
-    let mut staged: Vec<Vec<Transfer<S::Transfer>>> = (0..n).map(|_| Vec::new()).collect();
-    loop {
-        let mut start = u64::MAX;
-        let mut any = false;
-        for s in shards.iter_mut() {
-            if let Some(at) = s.next_event_at() {
-                any = true;
-                start = start.min(at);
-            }
-        }
-        if !any || start > until_ns {
-            return;
-        }
-        let last = window_last(start, lookahead_ns, until_ns);
-        for (i, s) in shards.iter_mut().enumerate() {
-            s.run_window(ctx, last, &mut out);
-            for (dst, bin) in out.bins.iter_mut().enumerate() {
-                debug_assert!(
-                    dst != i || bin.is_empty(),
-                    "shard staged a transfer to itself"
-                );
-                staged[dst].append(bin);
-            }
-        }
-        for (dst, batch) in staged.iter_mut().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let mut batch = std::mem::take(batch);
-            batch.sort_unstable_by_key(|&(at, key, _)| (at, key));
-            debug_assert!(batch.iter().all(|&(at, _, _)| at > last));
-            shards[dst].absorb(batch);
-        }
-    }
 }
 
 /// The threaded epoch driver. Kept in its own module so the
@@ -250,33 +213,24 @@ mod pool {
         shards: &mut [S],
         lookahead_ns: u64,
         until_ns: u64,
-        workers: usize,
     ) where
         C: Sync + ?Sized,
         S: EpochShard<C>,
     {
         let n = shards.len();
         let sync = EpochSync {
-            barrier: SpinBarrier::new(workers as u32),
+            barrier: SpinBarrier::new(n as u32),
             mins: [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)],
             any: [AtomicU32::new(0), AtomicU32::new(0)],
         };
         let mailbox: Mailbox<S::Transfer> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
 
-        // Deal the shards round-robin: worker w owns shards w, w + W,
-        // w + 2W, … Ownership is exclusive, so each worker takes `&mut`
-        // to its own subset.
-        let mut lanes: Vec<Vec<(usize, &mut S)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, s) in shards.iter_mut().enumerate() {
-            lanes[i % workers].push((i, s));
-        }
-
         std::thread::scope(|scope| {
-            for (w, lane) in lanes.into_iter().enumerate() {
+            for (i, shard) in shards.iter_mut().enumerate() {
                 let sync = &sync;
                 let mailbox = &mailbox;
                 scope.spawn(move || {
-                    worker_loop(ctx, sync, mailbox, lane, w == 0, lookahead_ns, until_ns)
+                    worker_loop(ctx, sync, mailbox, i, shard, lookahead_ns, until_ns)
                 });
             }
         });
@@ -286,32 +240,23 @@ mod pool {
         ctx: &C,
         sync: &EpochSync,
         mailbox: &Mailbox<S::Transfer>,
-        mut lane: Vec<(usize, &mut S)>,
-        leader: bool,
+        me: usize,
+        shard: &mut S,
         lookahead_ns: u64,
         until_ns: u64,
     ) where
         C: ?Sized,
         S: EpochShard<C>,
     {
-        let n = mailbox.len();
-        let mut out = Outbox::new(n);
+        let mut out = Outbox::new(mailbox.len());
         let mut sense: u32 = 0;
         let mut epoch: usize = 0;
         loop {
-            // Phase 1: publish the minimum over owned shards into this
+            // Phase 1: publish this shard's next event time into this
             // epoch's parity slot.
             let slot = epoch & 1;
-            let mut local_min = u64::MAX;
-            let mut local_any = false;
-            for (_, s) in lane.iter_mut() {
-                if let Some(at) = s.next_event_at() {
-                    local_any = true;
-                    local_min = local_min.min(at);
-                }
-            }
-            sync.mins[slot].fetch_min(local_min, Ordering::AcqRel);
-            if local_any {
+            if let Some(at) = shard.next_event_at() {
+                sync.mins[slot].fetch_min(at, Ordering::AcqRel);
                 sync.any[slot].store(1, Ordering::Release);
             }
             sync.barrier.wait(&mut sense);
@@ -323,7 +268,7 @@ mod pool {
             // barrier above.
             let start = sync.mins[slot].load(Ordering::Acquire);
             let any = sync.any[slot].load(Ordering::Acquire) != 0;
-            if leader {
+            if me == 0 {
                 sync.mins[slot ^ 1].store(u64::MAX, Ordering::Release);
                 sync.any[slot ^ 1].store(0, Ordering::Release);
             }
@@ -331,30 +276,25 @@ mod pool {
                 return;
             }
             let last = window_last(start, lookahead_ns, until_ns);
-            for (i, s) in lane.iter_mut() {
-                s.run_window(ctx, last, &mut out);
-                for (dst, bin) in out.bins.iter_mut().enumerate() {
-                    if bin.is_empty() {
-                        continue;
-                    }
-                    debug_assert!(*i != dst, "shard staged a transfer to itself");
-                    mailbox[dst].lock().unwrap().append(bin);
+            shard.run_window(ctx, last, &mut out);
+            for (dst, bin) in out.bins.iter_mut().enumerate() {
+                if bin.is_empty() {
+                    continue;
                 }
+                debug_assert!(me != dst, "shard staged a transfer to itself");
+                mailbox[dst].lock().unwrap().append(bin);
             }
             sync.barrier.wait(&mut sense);
 
-            // Phase 3: drain inbound batches for owned shards. No
-            // barrier needed after this — each worker only touches its
-            // own cells, and the phase-1 barrier of the next epoch
-            // orders every drain before anyone's next window.
-            for (i, s) in lane.iter_mut() {
-                let mut batch = std::mem::take(&mut *mailbox[*i].lock().unwrap());
-                if batch.is_empty() {
-                    continue;
-                }
+            // Phase 3: drain this shard's inbound batch. No barrier
+            // needed after this — each worker only touches its own
+            // cell, and the phase-1 barrier of the next epoch orders
+            // every drain before anyone's next window.
+            let mut batch = std::mem::take(&mut *mailbox[me].lock().unwrap());
+            if !batch.is_empty() {
                 batch.sort_unstable_by_key(|&(at, key, _)| (at, key));
                 debug_assert!(batch.iter().all(|&(at, _, _)| at > last));
-                s.absorb(batch);
+                shard.absorb(batch);
             }
             epoch += 1;
         }
@@ -391,8 +331,12 @@ mod tests {
         n: usize,
         lookahead: u64,
         sched: Scheduler<Hop>,
+        /// Tie-break key counter; see [`ToyShard::mint`].
+        key_ctr: u64,
         log: Vec<(u64, u64)>,
         last_at: u64,
+        /// The `last` bound of every `run_window` call, in call order.
+        windows: Vec<u64>,
     }
 
     impl ToyShard {
@@ -401,10 +345,19 @@ mod tests {
                 id,
                 n,
                 lookahead,
-                sched: Scheduler::with_seq_base(seed ^ id as u64, id as u16),
+                sched: Scheduler::new(seed ^ id as u64),
+                key_ctr: 0,
                 log: Vec::new(),
                 last_at: 0,
+                windows: Vec::new(),
             }
+        }
+
+        /// Mints the next globally-unique tie-break key, `(id << 48) |
+        /// ctr` — the same scheme the simulator's shards use.
+        fn mint(&mut self) -> u64 {
+            self.key_ctr += 1;
+            (self.id as u64) << 48 | self.key_ctr
         }
 
         /// Deterministic in `(self.id, now, hop)` only — shared by the
@@ -446,6 +399,7 @@ mod tests {
         }
 
         fn run_window(&mut self, _ctx: &(), last: u64, out: &mut Outbox<Hop>) {
+            self.windows.push(last);
             while let Some(hop) = self.sched.pop_due(SimTime::from_nanos(last)) {
                 let now = self.sched.now().as_nanos();
                 // Tentpole property: the driver never releases an event
@@ -457,11 +411,11 @@ mod tests {
                 match self.handle(now, hop) {
                     Action::Done => {}
                     Action::Local(at, h) => {
-                        let k = self.sched.mint_key();
+                        let k = self.mint();
                         self.sched.schedule_keyed(SimTime::from_nanos(at), k, h);
                     }
                     Action::Cross(dst, at, h) => {
-                        let k = self.sched.mint_key();
+                        let k = self.mint();
                         out.send(dst, at, k, h);
                     }
                 }
@@ -491,7 +445,7 @@ mod tests {
     fn run_flat(shards: &mut [ToyShard], inits: &[(usize, u64, Hop)], until: u64) {
         let mut queue: BTreeMap<(u64, u64), (usize, Hop)> = BTreeMap::new();
         for &(i, at, hop) in inits {
-            let key = shards[i].sched.mint_key();
+            let key = shards[i].mint();
             queue.insert((at, key), (i, hop));
         }
         while let Some((&(at, key), _)) = queue.first_key_value() {
@@ -502,11 +456,11 @@ mod tests {
             match shards[i].handle(at, hop) {
                 Action::Done => {}
                 Action::Local(a, h) => {
-                    let k = shards[i].sched.mint_key();
+                    let k = shards[i].mint();
                     queue.insert((a, k), (i, h));
                 }
                 Action::Cross(dst, a, h) => {
-                    let k = shards[i].sched.mint_key();
+                    let k = shards[i].mint();
                     queue.insert((a, k), (dst, h));
                 }
             }
@@ -536,7 +490,7 @@ mod tests {
 
     fn schedule_inits(shards: &mut [ToyShard], inits: &[(usize, u64, Hop)]) {
         for &(i, at, hop) in inits {
-            let k = shards[i].sched.mint_key();
+            let k = shards[i].mint();
             shards[i]
                 .sched
                 .schedule_keyed(SimTime::from_nanos(at), k, hop);
@@ -576,11 +530,11 @@ mod tests {
         }
     }
 
-    /// The tentpole conformance property: for random hop topologies,
-    /// the epoch protocol (inline and threaded, several worker counts)
-    /// produces per-shard event logs byte-identical to the flat
-    /// single-queue oracle, and stopping at a horizon then resuming
-    /// changes nothing.
+    /// The conformance property: for random hop topologies over one to
+    /// six shards (a lone shard runs inline, more run one thread each),
+    /// the epoch protocol produces per-shard event logs byte-identical
+    /// to the flat single-queue oracle, and stopping at a horizon then
+    /// resuming changes nothing.
     #[test]
     fn epoch_drivers_match_flat_oracle() {
         prop!(
@@ -596,27 +550,18 @@ mod tests {
                 run_flat(&mut oracle, &inits, u64::MAX);
                 let want: Vec<&[(u64, u64)]> = oracle.iter().map(|s| s.log.as_slice()).collect();
 
-                for workers in [1usize, 2, 3] {
-                    let (mut shards, inits) = build_shards(case);
-                    schedule_inits(&mut shards, &inits);
-                    // Split the run at an arbitrary horizon: epoch runs
-                    // must be resumable (Simulation::advance_to relies
-                    // on this).
-                    let mid = case.lookahead * 2;
-                    run_epochs(&(), &mut shards, case.lookahead, mid, workers);
-                    run_epochs(&(), &mut shards, case.lookahead, u64::MAX, workers);
-                    for (s, want_log) in shards.iter().zip(&want) {
-                        prop_assert_eq!(
-                            &s.log.as_slice(),
-                            want_log,
-                            "shard {} diverged at workers={}",
-                            s.id,
-                            workers
-                        );
-                    }
-                    let total: usize = shards.iter().map(|s| s.log.len()).sum();
-                    prop_assert!(total > 0 || case.hops == 0 || case.shards == 0);
+                let (mut shards, inits) = build_shards(case);
+                schedule_inits(&mut shards, &inits);
+                // Split the run at an arbitrary horizon: epoch runs must
+                // be resumable (Simulation::advance_to relies on this).
+                let mid = case.lookahead * 2;
+                run_epochs(&(), &mut shards, case.lookahead, mid);
+                run_epochs(&(), &mut shards, case.lookahead, u64::MAX);
+                for (s, want_log) in shards.iter().zip(&want) {
+                    prop_assert_eq!(&s.log.as_slice(), want_log, "shard {} diverged", s.id);
                 }
+                let total: usize = shards.iter().map(|s| s.log.len()).sum();
+                prop_assert!(total > 0 || case.hops == 0 || case.shards == 0);
                 Ok(())
             },
         );
@@ -632,25 +577,47 @@ mod tests {
             lookahead: 500,
             seed: 0x5EED,
         };
-        for workers in [1usize, 2, 4] {
-            let (mut shards, inits) = build_shards(&case);
-            schedule_inits(&mut shards, &inits);
-            let horizon = 4 * case.lookahead;
-            run_epochs(&(), &mut shards, case.lookahead, horizon, workers);
-            for s in &shards {
-                assert!(
-                    s.log.iter().all(|&(at, _)| at <= horizon),
-                    "worker count {workers}: event past the horizon"
-                );
-            }
-            // Something must remain pending (25-hop chains at ~L-scale
-            // delays run far past 4L).
-            let pending: usize = shards.iter().map(|s| s.sched.pending()).sum();
-            assert!(pending > 0, "expected unfinished work past the horizon");
+        let (mut shards, inits) = build_shards(&case);
+        schedule_inits(&mut shards, &inits);
+        let horizon = 4 * case.lookahead;
+        run_epochs(&(), &mut shards, case.lookahead, horizon);
+        for s in &shards {
+            assert!(
+                s.log.iter().all(|&(at, _)| at <= horizon),
+                "shard {}: event past the horizon",
+                s.id
+            );
         }
+        // Something must remain pending (25-hop chains at ~L-scale
+        // delays run far past 4L).
+        let pending: usize = shards.iter().map(|s| s.sched.pending()).sum();
+        assert!(pending > 0, "expected unfinished work past the horizon");
     }
 
-    /// Same seed, same worker count, run twice: identical logs — the
+    /// A lone shard has no peer to hear from, so it runs to the horizon
+    /// in one window however many lookahead widths its events span.
+    #[test]
+    fn lone_shard_runs_to_horizon_in_one_window() {
+        let case = Case {
+            shards: 1,
+            hops: 40,
+            lookahead: 100,
+            seed: 0x1013,
+        };
+        let (mut shards, inits) = build_shards(&case);
+        schedule_inits(&mut shards, &inits);
+        let horizon = 30 * case.lookahead;
+        run_epochs(&(), &mut shards, case.lookahead, horizon);
+        let s = &shards[0];
+        assert_eq!(s.windows, [horizon]);
+        // The window really spanned many lookahead widths, and stopped
+        // at the horizon with the rest of the chain still queued.
+        assert!(s.log.iter().any(|&(at, _)| at >= 10 * case.lookahead));
+        assert!(s.log.iter().all(|&(at, _)| at <= horizon));
+        assert!(s.sched.pending() > 0, "chain should outlive the horizon");
+    }
+
+    /// Same seed, run twice on five threads: identical logs — the
     /// threaded driver introduces no scheduling nondeterminism.
     #[test]
     fn threaded_driver_is_deterministic() {
@@ -664,7 +631,7 @@ mod tests {
         for _ in 0..2 {
             let (mut shards, inits) = build_shards(&case);
             schedule_inits(&mut shards, &inits);
-            run_epochs(&(), &mut shards, case.lookahead, u64::MAX, 3);
+            run_epochs(&(), &mut shards, case.lookahead, u64::MAX);
             logs.push(shards.iter().map(|s| s.log.clone()).collect::<Vec<_>>());
         }
         assert_eq!(logs[0], logs[1]);
