@@ -125,7 +125,9 @@ echo "==> perfsuite: cargo test + fmt --check (own package, outside the budget)"
 # simulator API change could otherwise break the benchmark unnoticed
 # until someone runs it. Its tests include the digest gate: every
 # workload's deterministic digest must still match perfsuite/digests.txt.
-cargo test -q --release --offline --manifest-path perfsuite/Cargo.toml
+# --locked: a [dependencies] edit in any crate perfsuite builds against
+# fails here instead of silently rewriting perfsuite/Cargo.lock.
+cargo test -q --release --offline --locked --manifest-path perfsuite/Cargo.toml
 cargo fmt --check --manifest-path perfsuite/Cargo.toml
 
 # Throughput watchdog over both bench metrics, against a committed

@@ -1,13 +1,13 @@
-//! # dsb-bench — benchmark kernels
+//! # dsb-bench — perf-baseline kernels
 //!
-//! Small, fixed-size simulation kernels used by the `dsb-testkit` benches
-//! in `benches/` and the `dsb-bench` binary: one kernel per paper
-//! table/figure (exercising that figure's code path end to end at
-//! miniature scale) plus engine microbenchmarks.
+//! Two fixed-size simulation kernels and the `dsb-bench` binary that
+//! times them against the committed `BENCH_0.json` (the fig17 two-tier
+//! kernel, [`mini_run_completed`]) and `BENCH_1.json` (the sharded
+//! [`fig22_kernel`]). The layered host-time benchmark in `perfsuite/`
+//! reuses [`fig22_kernel`].
 //!
 //! The *scientific* outputs live in `dsb-experiments`; these kernels
-//! measure the simulator's own performance so regressions in the engine or
-//! the application models show up in `cargo bench`.
+//! measure the simulator's own speed.
 
 #![warn(missing_docs)]
 
@@ -17,12 +17,8 @@ use dsb_simcore::SimTime;
 use dsb_workload::{OpenLoop, UserPopulation};
 
 /// Runs `app` for `secs` virtual seconds at `qps` on a small cluster and
-/// returns the number of simulation events processed (the work metric).
-pub fn mini_run(app: &BuiltApp, qps: f64, secs: u64, seed: u64) -> u64 {
-    mini_run_completed(app, qps, secs, seed).0
-}
-
-/// [`mini_run`] that also returns total completions (sanity check).
+/// returns `(events, completed)`: the simulation events processed (the
+/// work metric) and total completions (sanity check).
 pub fn mini_run_completed(app: &BuiltApp, qps: f64, secs: u64, seed: u64) -> (u64, u64) {
     let mut cluster = dsb_experiments::harness::make_cluster(4);
     cluster.trace_sample_prob = 0.0;

@@ -15,16 +15,16 @@
 //! * [`provision`] — the §3.8 methodology: before characterizing an
 //!   application, upsize saturated tiers until every tier saturates at
 //!   about the same load.
-//! * [`QosMonitor`] — windowed p99-vs-target detection with violation
-//!   timestamps (drives the Fig. 20 recovery comparison).
-//! * [`AdmissionController`] — the rate limiter the paper applies to let
-//!   the large-scale deployment recover in Fig. 22a.
 //! * [`slow_down_machines`] — the Fig. 22c fault: a fraction of servers
 //!   silently drop to a low frequency.
+//!
+//! QoS detection and rate limiting live elsewhere: Fig. 20 reads
+//! recovery from `dsb-telemetry`'s SLO alerts, and Fig. 22a throttles
+//! with [`Simulation::set_admission`].
 
 #![warn(missing_docs)]
 
-use dsb_core::{InstanceId, RequestType, ServiceId, Simulation};
+use dsb_core::{InstanceId, ServiceId, Simulation};
 use dsb_simcore::{Rng, SimDuration, SimTime};
 
 /// Per-service autoscaling policy.
@@ -243,132 +243,6 @@ pub fn provision(
     added_per_round
 }
 
-/// Windowed QoS detection for one request type.
-///
-/// Call [`QosMonitor::observe`] after each `advance_to` slice; it compares
-/// the slice's p99 against the target and records the first violation
-/// (detection time) and the first subsequent recovery.
-#[derive(Debug)]
-pub struct QosMonitor {
-    rtype: RequestType,
-    target: SimDuration,
-    violated_at: Option<SimTime>,
-    recovered_at: Option<SimTime>,
-    history: Vec<(SimTime, SimDuration, bool)>,
-}
-
-impl QosMonitor {
-    /// Creates a monitor for `rtype` with an end-to-end p99 target.
-    pub fn new(rtype: RequestType, target: SimDuration) -> Self {
-        QosMonitor {
-            rtype,
-            target,
-            violated_at: None,
-            recovered_at: None,
-            history: Vec::new(),
-        }
-    }
-
-    /// The QoS target.
-    pub fn target(&self) -> SimDuration {
-        self.target
-    }
-
-    /// Observes the current window; returns the window's p99 (which is
-    /// approximated by the tail over the whole run's latest window series).
-    pub fn observe(&mut self, sim: &Simulation) -> SimDuration {
-        let now = sim.now();
-        let p99 = match sim.request_stats(self.rtype) {
-            Some(st) => {
-                let w = st.windows.window_count().saturating_sub(1);
-                SimDuration::from_nanos(st.windows.quantile(w, 0.99))
-            }
-            None => SimDuration::ZERO,
-        };
-        let violated = p99 > self.target;
-        if violated && self.violated_at.is_none() {
-            self.violated_at = Some(now);
-        }
-        if !violated
-            && self.violated_at.is_some()
-            && self.recovered_at.is_none()
-            && p99 > SimDuration::ZERO
-        {
-            self.recovered_at = Some(now);
-        }
-        self.history.push((now, p99, violated));
-        p99
-    }
-
-    /// First time a violation was observed.
-    pub fn violated_at(&self) -> Option<SimTime> {
-        self.violated_at
-    }
-
-    /// First time QoS was met again after the violation.
-    pub fn recovered_at(&self) -> Option<SimTime> {
-        self.recovered_at
-    }
-
-    /// Time from detection to recovery, if both happened.
-    pub fn recovery_time(&self) -> Option<SimDuration> {
-        Some(self.recovered_at?.since(self.violated_at?))
-    }
-
-    /// The observation history: `(time, p99, violated)`.
-    pub fn history(&self) -> &[(SimTime, SimDuration, bool)] {
-        &self.history
-    }
-}
-
-/// A token-bucket-free, probability-based admission controller: when the
-/// observed p99 exceeds the target, admit less traffic; when it is back
-/// under, admit more (the Fig. 22a recovery mechanism).
-#[derive(Debug)]
-pub struct AdmissionController {
-    rtype: RequestType,
-    target: SimDuration,
-    admit: f64,
-    backoff: f64,
-    recover: f64,
-}
-
-impl AdmissionController {
-    /// Creates a controller for `rtype` with the given p99 target.
-    pub fn new(rtype: RequestType, target: SimDuration) -> Self {
-        AdmissionController {
-            rtype,
-            target,
-            admit: 1.0,
-            backoff: 0.7,
-            recover: 1.1,
-        }
-    }
-
-    /// Current admission probability.
-    pub fn admission(&self) -> f64 {
-        self.admit
-    }
-
-    /// Observes the latest window and adjusts the simulation's admission
-    /// probability.
-    pub fn tick(&mut self, sim: &mut Simulation) {
-        let p99 = match sim.request_stats(self.rtype) {
-            Some(st) => {
-                let w = st.windows.window_count().saturating_sub(1);
-                SimDuration::from_nanos(st.windows.quantile(w, 0.99))
-            }
-            None => SimDuration::ZERO,
-        };
-        if p99 > self.target {
-            self.admit = (self.admit * self.backoff).max(0.05);
-        } else {
-            self.admit = (self.admit * self.recover).min(1.0);
-        }
-        sim.set_admission(self.admit);
-    }
-}
-
 /// Slows a deterministic fraction of machines to `ghz` (aggressive power
 /// management), returning the affected machines — the Fig. 22c fault.
 pub fn slow_down_machines(
@@ -407,7 +281,7 @@ pub fn scale_to(sim: &mut Simulation, service: ServiceId, n: usize) -> Vec<Insta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsb_core::{AppBuilder, ClusterSpec, Step};
+    use dsb_core::{AppBuilder, ClusterSpec, RequestType, Step};
     use dsb_simcore::Dist;
 
     fn hot_app() -> (dsb_core::AppSpec, dsb_core::EndpointRef, ServiceId) {
@@ -520,69 +394,6 @@ mod tests {
         );
         assert!(sim.instance_count(svc) > 1, "provisioning should upsize");
         assert_eq!(*added.last().unwrap(), 0, "should converge");
-    }
-
-    #[test]
-    fn qos_monitor_detects_and_recovers() {
-        let (app, ep, _svc) = hot_app();
-        let mut sim = Simulation::new(app, ClusterSpec::xeon_cluster(4, 1), 3);
-        let mut mon = QosMonitor::new(RequestType(0), SimDuration::from_millis(4));
-        // Phase 1: light load, QoS met.
-        let mut t = SimTime::ZERO;
-        for step in 0..3 {
-            let until = SimTime::from_secs(step + 1);
-            while t < until {
-                sim.inject(t, ep, RequestType(0), 64, 1);
-                t = t + SimDuration::from_millis(10);
-            }
-            sim.advance_to(until);
-            mon.observe(&sim);
-        }
-        assert!(mon.violated_at().is_none());
-        // Phase 2: overload.
-        for step in 3..8 {
-            let until = SimTime::from_secs(step + 1);
-            while t < until {
-                sim.inject(t, ep, RequestType(0), 64, 1);
-                t = t + SimDuration::from_micros(400);
-            }
-            sim.advance_to(until);
-            mon.observe(&sim);
-        }
-        assert!(mon.violated_at().is_some(), "overload must violate QoS");
-        // Phase 3: back off, drain, recover.
-        for step in 8..20 {
-            let until = SimTime::from_secs(step + 1);
-            while t < until {
-                sim.inject(t, ep, RequestType(0), 64, 1);
-                t = t + SimDuration::from_millis(20);
-            }
-            sim.advance_to(until);
-            mon.observe(&sim);
-        }
-        assert!(mon.recovered_at().is_some(), "load drop must recover");
-        assert!(mon.recovery_time().unwrap() > SimDuration::ZERO);
-        assert!(!mon.history().is_empty());
-    }
-
-    #[test]
-    fn admission_controller_backs_off_under_violation() {
-        let (app, ep, _svc) = hot_app();
-        let mut sim = Simulation::new(app, ClusterSpec::xeon_cluster(4, 1), 4);
-        let mut ac = AdmissionController::new(RequestType(0), SimDuration::from_millis(3));
-        let mut t = SimTime::ZERO;
-        for step in 0..10 {
-            let until = SimTime::from_secs(step + 1);
-            while t < until {
-                sim.inject(t, ep, RequestType(0), 64, 1);
-                t = t + SimDuration::from_micros(300);
-            }
-            sim.advance_to(until);
-            ac.tick(&mut sim);
-        }
-        assert!(ac.admission() < 1.0, "admission {}", ac.admission());
-        let st = sim.request_stats(RequestType(0)).unwrap();
-        assert!(st.rejected > 0);
     }
 
     #[test]

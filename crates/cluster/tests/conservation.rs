@@ -1,10 +1,10 @@
 //! Request-conservation invariants at the cluster layer, checked with
-//! `dsb-testkit` generators: whatever the autoscaler and the admission
-//! controller do to a randomized deployment under randomized load, at
-//! drain every injected request is accounted for —
+//! `dsb-testkit` generators: whatever the autoscaler and a rate limiter
+//! (`Simulation::set_admission`) do to a randomized deployment under
+//! randomized load, at drain every injected request is accounted for —
 //! `issued == completed + rejected` — and nothing stays in flight.
 
-use dsb_cluster::{AdmissionController, Autoscaler, ScalePolicy};
+use dsb_cluster::{Autoscaler, ScalePolicy};
 use dsb_core::{
     AppBuilder, AppSpec, ClusterSpec, EndpointRef, RequestType, ServiceId, Simulation, Step,
 };
@@ -85,9 +85,19 @@ fn build(s: &Scenario) -> (AppSpec, EndpointRef) {
     (app.build(), downstream.expect("at least one tier"))
 }
 
+/// What a managed run accounted at drain.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    issued: u64,
+    completed: u64,
+    rejected: u64,
+    scale_outs: usize,
+}
+
 /// Runs the scenario under management, ticking the given controllers
-/// once per simulated second while requests arrive, then drains.
-fn run_managed(s: &Scenario, autoscale: bool, rate_limit: bool) -> Result<(u64, u64, u64), String> {
+/// every 50 ms while requests arrive, then drains. The rate limiter
+/// admits half the traffic on odd ticks and all of it on even ones.
+fn run_managed(s: &Scenario, autoscale: bool, rate_limit: bool) -> Result<Outcome, String> {
     let (spec, entry) = build(s);
     let n_services = spec.service_count();
     let mut cluster = ClusterSpec::xeon_cluster(2, 1);
@@ -112,16 +122,15 @@ fn run_managed(s: &Scenario, autoscale: bool, rate_limit: bool) -> Result<(u64, 
             scaler.manage(ServiceId(i as u32));
         }
     }
-    let mut admission = AdmissionController::new(RequestType(0), SimDuration::from_millis(5));
     let horizon_us = s.n_requests as u64 * s.period_us as u64;
-    let ticks = horizon_us / 1_000_000 + 2;
+    let ticks = horizon_us / 50_000 + 2;
     for t in 1..=ticks {
-        sim.advance_to(SimTime::from_secs(t));
+        sim.advance_to(SimTime::from_millis(t * 50));
         if autoscale {
             scaler.tick(&mut sim);
         }
         if rate_limit {
-            admission.tick(&mut sim);
+            sim.set_admission(if t % 2 == 1 { 0.5 } else { 1.0 });
         }
     }
     // Stop throttling and drain: in-flight work must finish.
@@ -134,14 +143,24 @@ fn run_managed(s: &Scenario, autoscale: bool, rate_limit: bool) -> Result<(u64, 
         }
     }
     let st = sim.request_stats(RequestType(0)).expect("stats exist");
-    Ok((st.issued, st.completed, st.rejected))
+    Ok(Outcome {
+        issued: st.issued,
+        completed: st.completed,
+        rejected: st.rejected,
+        scale_outs: scaler.events().iter().filter(|e| e.delta == 1).count(),
+    })
 }
 
 fn conservation_property(s: &Scenario, autoscale: bool, rate_limit: bool) -> Result<(), String> {
     if out_of_domain(s) {
         return Ok(());
     }
-    let (issued, completed, rejected) = run_managed(s, autoscale, rate_limit)?;
+    let Outcome {
+        issued,
+        completed,
+        rejected,
+        ..
+    } = run_managed(s, autoscale, rate_limit)?;
     prop_assert_eq!(
         issued,
         s.n_requests as u64,
@@ -174,7 +193,7 @@ fn conservation_under_autoscaling() {
     });
 }
 
-/// Conservation while an admission controller throttles the entry tier:
+/// Conservation while a rate limiter throttles the entry tier:
 /// rejected requests are still accounted, never silently dropped.
 #[test]
 fn conservation_under_rate_limiting() {
@@ -189,6 +208,23 @@ fn conservation_under_autoscaling_and_rate_limiting() {
     prop!(cases = 64, arb_scenario, |s: &Scenario| {
         conservation_property(s, true, true)
     });
+}
+
+/// The controllers act while requests are in flight: on a fixed
+/// overloaded chain the rate limiter rejects and the autoscaler scales
+/// out before the arrivals end.
+#[test]
+fn controllers_act_mid_run() {
+    let s = Scenario {
+        tiers: vec![(1, 800), (1, 800)],
+        n_requests: 300,
+        period_us: 200,
+        seed: 1,
+    };
+    let out = run_managed(&s, true, true).expect("drains");
+    assert_eq!(out.issued, out.completed + out.rejected, "{out:?}");
+    assert!(out.rejected > 0, "rate limiter never rejected: {out:?}");
+    assert!(out.scale_outs > 0, "autoscaler never scaled out: {out:?}");
 }
 
 /// The managed runs themselves are deterministic: replaying a scenario

@@ -10,15 +10,28 @@
 //! during which queues keep growing. The paper also quotes a 10.4× tail
 //! degradation from mismanaging a single dependency; we report the peak
 //! tail ratio between the two deployments.
+//!
+//! Recovery is read from an SLO alert on the scraped `slo_good` /
+//! `slo_total` counters, the same burn-rate machinery `dsb-report` and
+//! the chaos scorer use.
 
 use dsb_apps::{monolith, social, BuiltApp};
-use dsb_cluster::{Autoscaler, QosMonitor, ScalePolicy};
-use dsb_core::ServiceId;
-use dsb_simcore::SimDuration;
+use dsb_cluster::{Autoscaler, ScalePolicy};
+use dsb_core::{RequestType, ServiceId};
+use dsb_simcore::{SimDuration, SimTime};
+use dsb_telemetry::{evaluate, Alert, BurnRule, Scraper, Slo};
 
-use crate::harness::{build_sim, drive_ticked, make_cluster, MAX_RTYPE};
+use crate::harness::{build_sim, drive_ticked, make_cluster, merged_latency};
 use crate::report::Table;
 use crate::Scale;
+
+/// Fires on every window in which at least 1 % of completions miss the
+/// p99 target, i.e. the window's p99 is over target.
+const VIOLATING_WINDOW: BurnRule = BurnRule {
+    short: 1,
+    long: 1,
+    factor: 1.0,
+};
 
 /// Timeline of one deployment under the spike.
 pub struct Recovery {
@@ -49,11 +62,12 @@ fn run_one(app: &BuiltApp, base_qps: f64, spike_qps: f64, secs: u64, seed: u64) 
     for i in 0..app.spec.service_count() {
         scaler.manage(ServiceId(i as u32));
     }
-    let mut monitor = QosMonitor::new(dsb_core::RequestType(0), app.qos_p99);
+    let slo = Slo::p99(RequestType(0), app.qos_p99);
+    let mut scraper = Scraper::new(SimDuration::from_secs(1)).with_slo(slo);
     let mut p99_ms = Vec::new();
     {
         let scaler = &mut scaler;
-        let monitor = &mut monitor;
+        let scraper = &mut scraper;
         let p99 = &mut p99_ms;
         drive_ticked(
             &mut sim,
@@ -70,15 +84,8 @@ fn run_one(app: &BuiltApp, base_qps: f64, spike_qps: f64, secs: u64, seed: u64) 
             },
             &mut |sim, s| {
                 scaler.tick(sim);
-                monitor.observe(sim);
-                let w = s as usize;
-                let mut h = dsb_simcore::Histogram::compact();
-                for t in 0..MAX_RTYPE {
-                    if let Some(st) = sim.request_stats(dsb_core::RequestType(t)) {
-                        h.merge(&st.windows.merged_range(w, w + 1));
-                    }
-                }
-                p99.push(h.quantile(0.99) as f64 / 1e6);
+                scraper.tick(sim, SimTime::from_secs(s + 1));
+                p99.push(merged_latency(sim, s, s + 1).quantile(0.99) as f64 / 1e6);
             },
         );
     }
@@ -86,12 +93,22 @@ fn run_one(app: &BuiltApp, base_qps: f64, spike_qps: f64, secs: u64, seed: u64) 
         .iter()
         .copied()
         .fold(0.0, f64::max);
+    let alerts = evaluate(scraper.registry(), &slo, &VIOLATING_WINDOW);
     Recovery {
         p99_ms,
-        recovery: monitor.recovery_time(),
+        recovery: recovery(&alerts, scraper.scrapes(), scraper.interval()),
         actions: scaler.events().len(),
         peak_ms,
     }
+}
+
+/// Time from QoS violation to recovery: the first alert's span in
+/// `interval`-wide windows. `None` when nothing fired, or when the first
+/// alert is still firing in the last of the `scrapes` windows.
+fn recovery(alerts: &[Alert], scrapes: usize, interval: SimDuration) -> Option<SimDuration> {
+    let first = alerts.first()?;
+    (first.last_window + 1 < scrapes)
+        .then(|| interval * (first.last_window + 1 - first.first_window) as u64)
 }
 
 /// Runs both deployments; returns `(microservices, monolith)`.
@@ -174,5 +191,40 @@ mod tests {
             micro.actions,
             mono.actions
         );
+    }
+
+    fn alert(first_window: usize, last_window: usize) -> Alert {
+        Alert {
+            rtype: RequestType(0),
+            first_window,
+            last_window,
+            peak_short: 50.0,
+            peak_long: 50.0,
+            violations: 10,
+            total: 100,
+        }
+    }
+
+    #[test]
+    fn recovery_is_the_first_ended_alerts_span() {
+        let s = SimDuration::from_secs(1);
+        let alerts = [alert(3, 7), alert(9, 9)];
+        assert_eq!(recovery(&alerts, 12, s), Some(SimDuration::from_secs(5)));
+        assert_eq!(
+            recovery(&alerts[1..], 12, s / 4),
+            Some(SimDuration::from_millis(250))
+        );
+    }
+
+    #[test]
+    fn alert_firing_in_the_last_window_is_no_recovery() {
+        let s = SimDuration::from_secs(1);
+        assert_eq!(recovery(&[alert(3, 11)], 12, s), None);
+        assert_eq!(recovery(&[alert(3, 10)], 12, s), Some(s * 8));
+    }
+
+    #[test]
+    fn no_alert_is_no_recovery() {
+        assert_eq!(recovery(&[], 12, SimDuration::from_secs(1)), None);
     }
 }

@@ -16,7 +16,7 @@ use dsb_serverless::{ec2_cost, lambda_cost_for_run, to_serverless, ExecutionMode
 use dsb_simcore::SimDuration;
 use dsb_workload::DiurnalPattern;
 
-use crate::harness::{build_sim, drive, drive_ticked, make_cluster, merged_latency, MAX_RTYPE};
+use crate::harness::{build_sim, drive, drive_ticked, make_cluster, merged_latency};
 use crate::report::Table;
 use crate::Scale;
 
@@ -170,14 +170,7 @@ pub fn run(scale: Scale) -> String {
                 |t| pattern.qps(t),
                 &mut |sim, s| {
                     scaler.tick(sim);
-                    let w = s as usize;
-                    let mut h = dsb_simcore::Histogram::compact();
-                    for t in 0..MAX_RTYPE {
-                        if let Some(st) = sim.request_stats(dsb_core::RequestType(t)) {
-                            h.merge(&st.windows.merged_range(w, w + 1));
-                        }
-                    }
-                    out.push(h.quantile(0.99) as f64 / 1e6);
+                    out.push(merged_latency(sim, s, s + 1).quantile(0.99) as f64 / 1e6);
                 },
             );
         }

@@ -7,9 +7,6 @@ use dsb_core::{ClusterSpec, MachineSpec, RequestType, ServiceId, Simulation};
 use dsb_simcore::{Histogram, SimDuration, SimTime};
 use dsb_workload::{OpenLoop, UserPopulation};
 
-/// Highest request-type id used by any app in the suite.
-pub const MAX_RTYPE: u32 = 16;
-
 /// A datacenter of `n_xeon` servers across two racks, plus the 24 drone
 /// edge devices (needed by the Swarm apps; harmless otherwise).
 pub fn make_cluster(n_xeon: u32) -> ClusterSpec {
@@ -80,7 +77,7 @@ pub fn drive_ticked(
 /// `[from_s, to_s)` (seconds == windows at the default 1 s width).
 pub fn merged_latency(sim: &Simulation, from_s: u64, to_s: u64) -> Histogram {
     let mut h = Histogram::compact();
-    for t in 0..MAX_RTYPE {
+    for t in 0..sim.request_type_count() as u32 {
         if let Some(st) = sim.request_stats(RequestType(t)) {
             h.merge(&st.windows.merged_range(from_s as usize, to_s as usize));
         }
@@ -96,7 +93,7 @@ pub fn merged_p99(sim: &Simulation, from_s: u64, to_s: u64) -> SimDuration {
 /// `(issued, completed, rejected)` across all request types.
 pub fn totals(sim: &Simulation) -> (u64, u64, u64) {
     let mut t = (0, 0, 0);
-    for i in 0..MAX_RTYPE {
+    for i in 0..sim.request_type_count() as u32 {
         if let Some(st) = sim.request_stats(RequestType(i)) {
             t.0 += st.issued;
             t.1 += st.completed;

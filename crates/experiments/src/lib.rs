@@ -31,7 +31,7 @@
 //! built-in app.
 //!
 //! Pass `--quick` (or set `DSB_SCALE=quick`) for the scaled-down variant
-//! used by the Criterion benches.
+//! the unit tests run.
 
 #![warn(missing_docs)]
 
@@ -60,7 +60,7 @@ pub mod table01;
 /// How big an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Scaled-down: used by `cargo bench` and CI smoke runs.
+    /// Scaled-down: used by the unit tests and CI smoke runs.
     Quick,
     /// Full: the EXPERIMENTS.md numbers.
     Full,

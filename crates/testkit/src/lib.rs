@@ -1,9 +1,9 @@
 //! # dsb-testkit — hermetic verification substrate
 //!
-//! The workspace's test and benchmark tooling, built entirely on
+//! The workspace's test tooling, built entirely on
 //! [`dsb_simcore::Rng`] and the standard library so the whole suite
 //! builds and runs with no network access and no crates-io
-//! dependencies. Three pieces:
+//! dependencies. Two pieces:
 //!
 //! * [`runner`] + [`gen`] + [`shrink`] — a minimal property-testing
 //!   engine: deterministic generators seeded from SplitMix-derived
@@ -13,9 +13,6 @@
 //! * [`golden`] — checked-in text fixtures ("golden traces") with an
 //!   `UPDATE_GOLDENS=1` regeneration path, used to pin simulation
 //!   summaries (request counts, latency percentiles at fixed seeds).
-//! * [`mod@bench`] — a no-harness microbenchmark runner (warmup + fixed
-//!   iteration count, median/MAD reporting) for `[[bench]]` targets with
-//!   `harness = false`.
 //!
 //! # Property tests in one minute
 //!
@@ -42,18 +39,15 @@
 //!
 //! Environment knobs: `DSB_PROP_CASES` overrides every test's case
 //! count, `DSB_PROP_SEED` replays one specific case, `UPDATE_GOLDENS=1`
-//! rewrites golden fixtures, `DSB_BENCH_ITERS` sets benchmark
-//! iterations.
+//! rewrites golden fixtures.
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod gen;
 pub mod golden;
 pub mod runner;
 pub mod shrink;
 
-pub use bench::{Bench, BenchConfig};
 pub use runner::{Config, Counterexample, PropResult};
 pub use shrink::Shrink;
 

@@ -10,9 +10,6 @@ use deathstarbench_sim::simcore::SimTime;
 use deathstarbench_sim::workload::{OpenLoop, UserPopulation};
 use std::fmt::Write as _;
 
-/// Highest request-type id used by any app in the suite.
-pub const MAX_RTYPE: u32 = 16;
-
 /// The reference cluster every fixture is pinned to: 8 Xeon servers on
 /// 2 racks plus 24 edge devices (needed by Swarm; harmless otherwise),
 /// tracing off.
@@ -38,7 +35,7 @@ pub fn run_fixed(app: &BuiltApp, qps: f64, secs: u64, seed: u64) -> Simulation {
 /// `(issued, completed, rejected)` summed over all request types.
 pub fn totals(sim: &Simulation) -> (u64, u64, u64) {
     let mut t = (0, 0, 0);
-    for i in 0..MAX_RTYPE {
+    for i in 0..sim.request_type_count() as u32 {
         if let Some(st) = sim.request_stats(RequestType(i)) {
             t.0 += st.issued;
             t.1 += st.completed;
@@ -63,7 +60,7 @@ pub fn summary(app: &BuiltApp, sim: &Simulation) -> String {
     let _ = writeln!(out, "app: {}", app.spec.name);
     let _ = writeln!(out, "services: {}", app.spec.service_count());
     let _ = writeln!(out, "events: {}", sim.events_processed());
-    for i in 0..MAX_RTYPE {
+    for i in 0..sim.request_type_count() as u32 {
         if let Some(st) = sim.request_stats(RequestType(i)) {
             let _ = writeln!(
                 out,

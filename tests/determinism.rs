@@ -19,7 +19,7 @@ fn digest(app: &BuiltApp, qps: f64, seed: u64) -> (u64, u64, u64, u64, u64) {
     let sim = common::run_fixed(app, qps, 2, seed);
     let (issued, completed, rejected) = common::totals(&sim);
     let mut lat = 0u64;
-    for i in 0..common::MAX_RTYPE {
+    for i in 0..sim.request_type_count() as u32 {
         if let Some(st) = sim.request_stats(RequestType(i)) {
             lat ^= st.latency.quantile(0.5).rotate_left(i);
             lat ^= st.latency.quantile(0.99).rotate_left(i + 17);
