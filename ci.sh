@@ -120,6 +120,17 @@ if [ "$lint_wall" -gt "$LINT_BUDGET_S" ]; then
     exit 1
 fi
 
+echo "==> engine self-checks: dsb-simcore + dsb-core tests with debug assertions and overflow checks (outside the budget)"
+# Every other step builds --release, where debug_assert! and integer
+# overflow checks compile out, so the engine's own invariants (wheel
+# order, lookahead floor, slot liveness) would never run. Same release
+# optimizations, checks switched back on, in a target dir of its own so
+# the plain release artifacts above are not rebuilt. About 30 s cold.
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
+    CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
+    CARGO_TARGET_DIR=target/checked \
+    cargo test -q --release --offline -p dsb-simcore -p dsb-core
+
 echo "==> perfsuite: cargo test + fmt --check (own package, outside the budget)"
 # perfsuite/ is a standalone package the workspace does not build, so a
 # simulator API change could otherwise break the benchmark unnoticed

@@ -460,6 +460,48 @@ enum JobCont {
     RecvResponse(SlabKey),
 }
 
+impl CoreJob {
+    /// The next CPU timeslice of `inv`'s compute step, with `ref_ns`
+    /// reference-core and `actual_ns` actual ns still to run: all of it
+    /// when it fits in one `quantum`, else one quantum and a
+    /// [`JobCont::StepChunk`] holding the rest. The only place the step
+    /// is split: [`ShardState::submit_compute`] submits its first slice,
+    /// and each finished timeslice rewrites its own pool slot with the
+    /// next one.
+    #[inline(always)]
+    fn compute_slice(
+        service: ServiceId,
+        quantum: f64,
+        inv: SlabKey,
+        domain: ExecDomain,
+        ref_ns: f64,
+        actual_ns: f64,
+    ) -> CoreJob {
+        if actual_ns <= quantum {
+            CoreJob {
+                dur: SimDuration::from_nanos(actual_ns as u64),
+                service,
+                splits: [(domain, ref_ns, actual_ns), (ExecDomain::Other, 0.0, 0.0)],
+                cont: JobCont::StepDone(inv),
+            }
+        } else {
+            let frac = quantum / actual_ns;
+            let chunk_ref = ref_ns * frac;
+            CoreJob {
+                dur: SimDuration::from_nanos(quantum as u64),
+                service,
+                splits: [(domain, chunk_ref, quantum), (ExecDomain::Other, 0.0, 0.0)],
+                cont: JobCont::StepChunk {
+                    inv,
+                    domain,
+                    remaining_ref: ref_ns - chunk_ref,
+                    remaining_actual: actual_ns - quantum,
+                },
+            }
+        }
+    }
+}
+
 /// A pending client request (carried by [`Ev::Inject`]).
 #[derive(Debug)]
 struct InjectReq {
@@ -492,6 +534,10 @@ impl<T> Pool<T> {
         }
     }
 
+    /// Always inlined, so a payload built at the call site is written
+    /// straight into its slot instead of being staged on the stack and
+    /// copied in.
+    #[inline(always)]
     fn alloc(&mut self, value: T) -> u32 {
         match self.free.pop() {
             Some(i) => {
@@ -511,8 +557,20 @@ impl<T> Pool<T> {
         v
     }
 
+    /// Retires ticket `id` without moving its payload out.
+    fn free(&mut self, id: u32) {
+        let slot = &mut self.slots[id as usize];
+        debug_assert!(slot.is_some(), "freeing a dead pooled entry");
+        *slot = None;
+        self.free.push(id);
+    }
+
     fn get(&self, id: u32) -> &T {
         self.slots[id as usize].as_ref().expect("live pooled entry")
+    }
+
+    fn get_mut(&mut self, id: u32) -> &mut T {
+        self.slots[id as usize].as_mut().expect("live pooled entry")
     }
 }
 
@@ -637,9 +695,19 @@ impl ShardState {
 
     // -- CPU ---------------------------------------------------------------
 
+    /// Submits `job` to this shard's cores. Always inlined, like
+    /// [`Pool::alloc`], so the caller builds the job straight into its
+    /// pool slot.
+    #[inline(always)]
     fn submit_job(&mut self, sink: &mut Sink, now: SimTime, job: CoreJob) {
         let dur = job.dur;
         let id = self.job_pool.alloc(job);
+        self.arm_job(sink, now, id, dur);
+    }
+
+    /// Mints pooled job `id`'s key, then starts it on a free core or
+    /// queues it behind the busy ones. The key is minted either way.
+    fn arm_job(&mut self, sink: &mut Sink, now: SimTime, id: u32, dur: SimDuration) {
         let key = self.mint();
         let m = self.machine.as_mut().expect("compute on a machine shard");
         if m.busy < m.cores {
@@ -651,8 +719,7 @@ impl ShardState {
         }
     }
 
-    fn on_job_done(&mut self, sh: &SharedState, sink: &mut Sink, now: SimTime, job: u32) {
-        let job = self.job_pool.take(job);
+    fn on_job_done(&mut self, sh: &SharedState, sink: &mut Sink, now: SimTime, id: u32) {
         // Start the next queued job (or free the core).
         let next = self
             .machine
@@ -675,60 +742,80 @@ impl ShardState {
                 m.busy = m.busy.saturating_sub(1);
             }
         }
-        // Account the finished job.
+        // Account the finished job, read in its slot.
+        let job = self.job_pool.get(id);
         let freq = sh.machines[self.shard as usize].core.freq_ghz;
         let ipc = sh.ref_ipc(job.service);
         let stats = &mut self.stats[job.service.0 as usize];
-        for (domain, ref_ns, actual_ns) in job.splits {
+        for &(domain, ref_ns, actual_ns) in &job.splits {
             if actual_ns > 0.0 || ref_ns > 0.0 {
                 stats.charge(domain, actual_ns, freq, ref_ns, ipc, REF_FREQ_GHZ);
             }
         }
         let actual: f64 = job.splits.iter().map(|s| s.2).sum();
-        // Continuation.
+        // Continuation. Only message-carrying jobs move out of the slot.
         match job.cont {
-            JobCont::StepDone(inv) => {
-                if let Some(i) = self.invocations.get_mut(inv) {
-                    i.app_ns += actual;
-                }
-                self.advance(sh, sink, now, inv);
-            }
             JobCont::StepChunk {
                 inv,
                 domain,
                 remaining_ref,
                 remaining_actual,
             } => {
+                let Some(i) = self.invocations.get_mut(inv) else {
+                    self.job_pool.free(id);
+                    return;
+                };
+                i.app_ns += actual;
+                // Re-arm the same ticket with the next slice.
+                let job = self.job_pool.get_mut(id);
+                *job = CoreJob::compute_slice(
+                    job.service,
+                    sh.cpu_quantum_ns,
+                    inv,
+                    domain,
+                    remaining_ref,
+                    remaining_actual,
+                );
+                let dur = job.dur;
+                self.arm_job(sink, now, id, dur);
+            }
+            JobCont::StepDone(inv) => {
+                self.job_pool.free(id);
                 if let Some(i) = self.invocations.get_mut(inv) {
                     i.app_ns += actual;
-                } else {
-                    return;
                 }
-                self.submit_compute(sh, sink, now, inv, domain, remaining_ref, remaining_actual);
-            }
-            JobCont::SendDone {
-                msg,
-                bytes,
-                extra,
-                charge,
-            } => {
-                let tx = self.transmit(sh, sink, now, bytes, extra, msg);
-                if let Some(k) = charge {
-                    if let Some(i) = self.invocations.get_mut(k) {
-                        // Processing plus NIC queueing/serialization both
-                        // count as network time (the paper's §5 metric).
-                        i.net_ns += actual + tx.as_nanos() as f64;
-                    }
-                }
-            }
-            JobCont::RecvRequest(msg) => {
-                self.enqueue_request(sh, sink, now, msg, actual);
+                self.advance(sh, sink, now, inv);
             }
             JobCont::RecvResponse(inv) => {
+                self.job_pool.free(id);
                 if let Some(i) = self.invocations.get_mut(inv) {
                     i.net_ns += actual;
                 }
                 self.on_response(sh, sink, now, inv, false);
+            }
+            JobCont::SendDone { .. } | JobCont::RecvRequest(_) => {
+                match self.job_pool.take(id).cont {
+                    JobCont::SendDone {
+                        msg,
+                        bytes,
+                        extra,
+                        charge,
+                    } => {
+                        let tx = self.transmit(sh, sink, now, bytes, extra, msg);
+                        if let Some(k) = charge {
+                            if let Some(i) = self.invocations.get_mut(k) {
+                                // Processing plus NIC queueing/serialization
+                                // both count as network time (the paper's §5
+                                // metric).
+                                i.net_ns += actual + tx.as_nanos() as f64;
+                            }
+                        }
+                    }
+                    JobCont::RecvRequest(msg) => {
+                        self.enqueue_request(sh, sink, now, msg, actual);
+                    }
+                    _ => unreachable!("matched a message-carrying job"),
+                }
             }
         }
     }
@@ -1345,31 +1432,9 @@ impl ShardState {
         actual_ns: f64,
     ) {
         let service = self.invocations.get(key).expect("live inv").service;
-        let quantum = sh.cpu_quantum_ns;
-        if actual_ns <= quantum {
-            let job = CoreJob {
-                dur: SimDuration::from_nanos(actual_ns as u64),
-                service,
-                splits: [(domain, ref_ns, actual_ns), (ExecDomain::Other, 0.0, 0.0)],
-                cont: JobCont::StepDone(key),
-            };
-            self.submit_job(sink, now, job);
-        } else {
-            let frac = quantum / actual_ns;
-            let chunk_ref = ref_ns * frac;
-            let job = CoreJob {
-                dur: SimDuration::from_nanos(quantum as u64),
-                service,
-                splits: [(domain, chunk_ref, quantum), (ExecDomain::Other, 0.0, 0.0)],
-                cont: JobCont::StepChunk {
-                    inv: key,
-                    domain,
-                    remaining_ref: ref_ns - chunk_ref,
-                    remaining_actual: actual_ns - quantum,
-                },
-            };
-            self.submit_job(sink, now, job);
-        }
+        let job =
+            CoreJob::compute_slice(service, sh.cpu_quantum_ns, key, domain, ref_ns, actual_ns);
+        self.submit_job(sink, now, job);
     }
 
     /// Event-driven services release their worker at the first await point.
@@ -3375,6 +3440,203 @@ mod tests {
             slow / fast < 1.3,
             "io-bound should tolerate slow cores: {slow} vs {fast}"
         );
+    }
+
+    /// Runs the lone lane of `sim` event by event, showing `probe` each
+    /// event and its shard before the event is dispatched. The same
+    /// steps as [`Lane::run_window`], with a window that never ends.
+    fn run_probed(sim: &mut Simulation, mut probe: impl FnMut(&ShardState, SimTime, &Ev)) {
+        assert_eq!(sim.lanes.len(), 1, "probing drives a single lane");
+        let mut out = Outbox::new(1);
+        let wheel = &mut sim.lanes[0].0;
+        while let Some((shard, ev)) = wheel.pop_due(SimTime::MAX) {
+            let now = wheel.now();
+            let st = &mut sim.shards[shard as usize];
+            probe(st, now, &ev);
+            let mut sink = Sink {
+                shard,
+                lanes: 1,
+                wheel: &mut *wheel,
+                out: &mut out,
+            };
+            dispatch(st, &sim.shared, &mut sink, now, ev);
+            for (at, key, (dst, msg)) in out.drain(0) {
+                sim.shards[dst as usize].file_msg(wheel, at, key, msg);
+            }
+        }
+    }
+
+    /// Two 10 µs compute steps on one core with a 3 µs quantum each run
+    /// as 3 + 3 + 3 + 1 µs slices, interleaved round-robin.
+    #[test]
+    fn long_steps_run_as_round_robin_timeslices() {
+        let mut app = AppBuilder::new("slices");
+        let svc = app.service("svc").workers(2).build();
+        app.endpoint(
+            svc,
+            "op",
+            Dist::constant(64.0),
+            vec![Step::Compute {
+                ns: Dist::constant(10_000.0),
+                domain: ExecDomain::User,
+            }],
+        );
+        let mut cluster = ClusterSpec::xeon_cluster(1, 1);
+        cluster.machines[0].cores = 1;
+        cluster.cpu_quantum = SimDuration::from_micros(3);
+        let mut sim = Simulation::new(app.build(), cluster, 1);
+        let inst = sim.instances_of(svc)[0];
+        // Both requests reach the instance at t = 0, past the network,
+        // so the core runs nothing but the two steps and their replies.
+        let mut out = Outbox::new(1);
+        let mut sink = Sink {
+            shard: 0,
+            lanes: 1,
+            wheel: &mut sim.lanes[0].0,
+            out: &mut out,
+        };
+        for req in 0..2 {
+            let rm = RequestMsg {
+                req,
+                rtype: RequestType(0),
+                origin: Zone::Client,
+                dst: inst,
+                endpoint: 0,
+                caller: None,
+                parent_span: None,
+                bytes: 64,
+                partition_key: req,
+                spawn: SimTime::ZERO,
+            };
+            sim.shards[0].enqueue_request(&sim.shared, &mut sink, SimTime::ZERO, rm, 0.0);
+        }
+        assert!(out.is_empty());
+
+        // (end ns, invocation, slice ns) of every finished compute slice.
+        let mut slices = Vec::new();
+        run_probed(&mut sim, |st, now, ev| {
+            if let Ev::CoreJobDone { job } = *ev {
+                let job = st.job_pool.get(job);
+                if let JobCont::StepChunk { inv, .. } | JobCont::StepDone(inv) = job.cont {
+                    slices.push((now.as_nanos(), inv, job.dur.as_nanos()));
+                }
+            }
+        });
+        let (a, b) = (slices[0].1, slices[1].1);
+        assert_ne!(a, b);
+        assert_eq!(
+            slices,
+            [
+                (3_000, a, 3_000),
+                (6_000, b, 3_000),
+                (9_000, a, 3_000),
+                (12_000, b, 3_000),
+                (15_000, a, 3_000),
+                (18_000, b, 3_000),
+                (19_000, a, 1_000),
+                (20_000, b, 1_000),
+            ]
+        );
+        sim.run_until_idle();
+        let user = sim.service_stats(svc).time_ns[ExecDomain::User.index()];
+        assert_eq!(user, 20_000.0, "both steps' actual ns, no more, no less");
+        // 8 slices, 2 reply sends, 2 replies reaching the client shard.
+        assert_eq!(sim.events_processed(), 12);
+        assert_eq!(sim.request_stats(RequestType(0)).unwrap().completed, 2);
+    }
+
+    /// Tickets in use in `pool`.
+    fn live<T>(pool: &Pool<T>) -> usize {
+        pool.slots.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// Conservation at idle: after a machine crash kills invocations in
+    /// the middle of their timeslices, draining the run leaves every
+    /// payload pool, connection pool and instance queue empty.
+    #[test]
+    fn pools_and_conns_are_empty_at_idle_after_a_crash() {
+        for workers in [1, 4] {
+            let mut app = AppBuilder::new("idle");
+            let back = app
+                .service("back")
+                .workers(64)
+                .protocol(Protocol::Http1)
+                .conn_limit(16)
+                .build();
+            let get = app.endpoint(
+                back,
+                "get",
+                Dist::constant(128.0),
+                vec![Step::Compute {
+                    ns: Dist::constant(1_000_000.0),
+                    domain: ExecDomain::User,
+                }],
+            );
+            let front = app.service("front").workers(64).build();
+            let root = app.endpoint(
+                front,
+                "root",
+                Dist::constant(128.0),
+                vec![Step::call(get, 64.0)],
+            );
+            let mut cluster = ClusterSpec::xeon_cluster(4, 2);
+            cluster.cpu_quantum = SimDuration::from_micros(10);
+            let mut sim = Simulation::new(app.build(), cluster, 5);
+            sim.set_workers(workers);
+            let victim = sim.instance_machine(sim.instances_of(back)[0]);
+            let crash_at = SimTime::from_micros(800);
+            sim.install_chaos(&ChaosPlan {
+                seed: 1,
+                events: vec![crate::chaos::ChaosEvent::MachineCrash {
+                    machine: victim,
+                    at: crash_at,
+                    restart_after: SimDuration::from_millis(2),
+                    cold_for: SimDuration::ZERO,
+                }],
+            });
+            // 40 callers over 16 connections: 24 wait for one. Ten more
+            // come after the restart.
+            for i in 0..50 {
+                let at = if i < 40 { 0 } else { 5 };
+                sim.inject(SimTime::from_millis(at), root, RequestType(0), 64, i);
+            }
+            sim.advance_to(crash_at - SimDuration::from_nanos(1));
+            let st = &sim.shards[victim.0 as usize];
+            let mid_slice = st
+                .job_pool
+                .slots
+                .iter()
+                .flatten()
+                .filter(|j| {
+                    matches!(j.cont, JobCont::StepChunk { inv, .. }
+                        if st.invocations.get(inv).is_some())
+                })
+                .count();
+            assert!(mid_slice >= 10, "workers={workers}: {mid_slice} mid-slice");
+            sim.run_until_idle();
+
+            let rs = sim.request_stats(RequestType(0)).unwrap();
+            assert_eq!(rs.issued, rs.completed + rs.failed, "workers={workers}");
+            assert!(rs.failed >= mid_slice as u64, "workers={workers}");
+            assert_eq!(rs.completed, 10, "workers={workers}");
+            for st in &sim.shards {
+                let pools = [
+                    live(&st.job_pool),
+                    live(&st.msg_pool),
+                    live(&st.inject_pool),
+                ];
+                assert_eq!(pools, [0; 3], "workers={workers} shard {}", st.shard);
+                for (i, rt) in st.insts.iter().enumerate() {
+                    let at = format!("workers={workers} shard {} inst {i}", st.shard);
+                    assert_eq!(rt.inflight, 0, "{at}");
+                    assert!(rt.queue.is_empty(), "{at}");
+                    for pool in rt.conns.values() {
+                        assert_eq!(pool.in_use, 0, "{at}");
+                        assert!(pool.waiters.is_empty(), "{at}");
+                    }
+                }
+            }
+        }
     }
 
     /// The cornerstone smoke test: every worker count must produce the

@@ -60,12 +60,14 @@ const H_TOP: u64 = 1 << (G0_BITS + SLOT_BITS * LEVELS as u32);
 ///   slot" a rotate + trailing-zeros.
 /// * `near`: the drained current slot, kept sorted **descending** by
 ///   `(at, seq)` so the minimum pops from the tail. New events that land
-///   inside the near window (`at < near_end`, the common `schedule_now`
+///   inside the near window (`at <= near_last`, the common `schedule_now`
 ///   and sub-microsecond-hop case) binary-insert here — at the tail for
-///   same-instant chains, so no memmove in the hot path.
+///   same-instant chains, so no memmove in the hot path. The bound is
+///   inclusive so the top slot, whose end would be `2^64`, needs no
+///   special case.
 /// * `overflow`: events at least `H_TOP` beyond the cursor, re-seeded
-///   into the wheels when the clock gets close (or when the wheels
-///   drain). [`SimTime::MAX`] — the saturation sentinel produced by
+///   into the wheels once they are the earliest pending work or fall
+///   inside the level-0 slot about to drain. [`SimTime::MAX`] — the saturation sentinel produced by
 ///   `SimTime + SimDuration` overflow — always lands here.
 ///
 /// # Determinism
@@ -88,9 +90,10 @@ struct TimerWheel<E> {
     occupied: [u64; LEVELS],
     /// Current drained slot, sorted descending by `(at, seq)`.
     near: Vec<Entry<E>>,
-    /// Exclusive upper bound of the near window; events with
-    /// `at < near_end` insert into `near` directly.
-    near_end: u64,
+    /// Last instant of the near window, inclusive: every pending entry
+    /// with `at <= near_last` is in `near`, so pushes at or before it
+    /// insert there directly.
+    near_last: u64,
     /// Wheel position: the start of the last drained slot, always
     /// aligned to the level-0 slot width. Only advances.
     cursor: u64,
@@ -117,7 +120,7 @@ impl<E> TimerWheel<E> {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
             near: Vec::new(),
-            near_end: 0,
+            near_last: 0,
             cursor: 0,
             overflow: Vec::new(),
             overflow_min: u64::MAX,
@@ -135,7 +138,7 @@ impl<E> TimerWheel<E> {
     fn push(&mut self, at: u64, seq: u64, ev: E) {
         self.len += 1;
         let e = Entry { at, seq, ev };
-        if at < self.near_end {
+        if at <= self.near_last {
             // Descending order: larger (at, seq) first, minimum at the
             // tail. A same-instant chain inserts at the very tail.
             let idx = self.near.partition_point(|x| (x.at, x.seq) > (at, seq));
@@ -207,21 +210,23 @@ impl<E> TimerWheel<E> {
         // Fast path: the next event usually sits in a level-0 slot with
         // nothing coarser due first, so one bitmap rotate suffices. Ties
         // with `upper_min` fall through (a coarser slot starting at the
-        // same instant must cascade before this slot drains); ties with
-        // `overflow_min` stay here (the old scan kept the wheel on ties).
+        // same instant must cascade before this slot drains), and so
+        // does an overflow entry inside the slot (it must join the slot
+        // first; the scan below reseeds it).
         if self.occupied[0] != 0 {
             let cur_idx = ((self.cursor >> G0_BITS) & (SLOTS as u64 - 1)) as u32;
             let k = self.occupied[0].rotate_right(cur_idx).trailing_zeros() as u64;
             let idx = ((cur_idx as u64 + k) & (SLOTS as u64 - 1)) as usize;
             let slot_start = ((self.cursor >> G0_BITS) + k) << G0_BITS;
-            if slot_start < self.upper_min && slot_start <= self.overflow_min {
+            let slot_last = slot_start + ((1 << G0_BITS) - 1);
+            if slot_start < self.upper_min && slot_last < self.overflow_min {
                 self.occupied[0] &= !(1 << idx);
                 self.cursor = slot_start;
                 let slot = &mut self.slots[idx];
                 self.near.append(slot);
                 self.near
                     .sort_unstable_by(|a, b| (b.at, b.seq).cmp(&(a.at, a.seq)));
-                self.near_end = slot_start + (1 << G0_BITS);
+                self.near_last = slot_last;
                 return true;
             }
         }
@@ -262,8 +267,15 @@ impl<E> TimerWheel<E> {
             // Overflow entries re-enter the wheels once they are the
             // earliest pending work (their deltas shrink as the cursor
             // advances; nothing in the wheels is earlier, so jumping the
-            // cursor to the overflow minimum skips no event).
-            if !self.overflow.is_empty() && best.is_none_or(|(bs, _, _)| self.overflow_min < bs) {
+            // cursor to the overflow minimum skips no event), or once
+            // they fall inside the level-0 slot about to drain (the
+            // cursor then moves only to that slot's start).
+            let reseed = !self.overflow.is_empty()
+                && best.is_none_or(|(bs, level, _)| {
+                    self.overflow_min < bs
+                        || (level == 0 && self.overflow_min <= bs + ((1 << G0_BITS) - 1))
+                });
+            if reseed {
                 self.reseed_overflow();
                 continue;
             }
@@ -277,7 +289,7 @@ impl<E> TimerWheel<E> {
                 self.near.append(slot);
                 self.near
                     .sort_unstable_by(|a, b| (b.at, b.seq).cmp(&(a.at, a.seq)));
-                self.near_end = slot_start + (1 << G0_BITS);
+                self.near_last = slot_start + ((1 << G0_BITS) - 1);
                 return true;
             }
             // Cascade: re-insert the coarse slot's entries; each lands at
@@ -646,6 +658,37 @@ mod tests {
         s.schedule_at(SimTime::from_nanos(20), Ev::Tag(2));
         s.run(&mut m);
         assert_eq!(m.seen, vec![(10, 1), (20, 2), (u64::MAX, 9)]);
+    }
+
+    /// Keyed events at the end of time pop in key order even after the
+    /// top slot has drained: its near window ends at `u64::MAX`, which
+    /// an exclusive bound could not express.
+    #[test]
+    fn keyed_events_at_end_of_time_pop_in_key_order() {
+        let mut s = Scheduler::new(0);
+        s.schedule_keyed(SimTime::MAX, 10, 'a');
+        s.schedule_keyed(SimTime::MAX, 20, 'b');
+        let mut popped = vec![s.pop_due(SimTime::MAX).expect("a pending")];
+        s.schedule_keyed(SimTime::MAX, 15, 'c');
+        while let Some(ev) = s.pop_due(SimTime::MAX) {
+            popped.push(ev);
+        }
+        assert_eq!(popped, ['a', 'c', 'b']);
+    }
+
+    /// An overflow entry inside the level-0 slot about to drain pops in
+    /// `(at, seq)` order with the slot's own entries.
+    #[test]
+    fn overflow_entry_inside_the_draining_slot_pops_in_order() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        w.push(H_TOP, 1, 1); // beyond the horizon: overflow
+        w.push(H_TOP - 1, 2, 2); // top level, cascades down to level 0
+        assert_eq!(w.pop().map(|e| (e.at, e.ev)), Some((H_TOP - 1, 2)));
+        // Lands in the level-0 slot starting at H_TOP, next to the
+        // overflow entry.
+        w.push(H_TOP + 5, 3, 3);
+        let rest: Vec<_> = std::iter::from_fn(|| w.pop().map(|e| (e.at, e.ev))).collect();
+        assert_eq!(rest, [(H_TOP, 1), (H_TOP + 5, 3)]);
     }
 
     #[test]

@@ -182,6 +182,9 @@ pub struct UtilizationTracker {
     window: SimDuration,
     capacity: u32,
     busy_ns: Vec<u64>,
+    /// `[start, end)` in ns and index of the window `add_busy` last
+    /// wrote: an interval inside it is one add, with no division.
+    last: (u64, u64, usize),
 }
 
 impl UtilizationTracker {
@@ -197,6 +200,7 @@ impl UtilizationTracker {
             window,
             capacity,
             busy_ns: Vec::new(),
+            last: (0, 0, 0),
         }
     }
 
@@ -219,9 +223,14 @@ impl UtilizationTracker {
         if to <= from {
             return;
         }
-        let w = self.window.as_nanos();
         let mut cur = from.as_nanos();
         let end = to.as_nanos();
+        let (start, stop, idx) = self.last;
+        if start <= cur && end <= stop {
+            self.busy_ns[idx] += end - cur;
+            return;
+        }
+        let w = self.window.as_nanos();
         while cur < end {
             let widx = (cur / w) as usize;
             let wend = (widx as u64 + 1) * w;
@@ -230,6 +239,7 @@ impl UtilizationTracker {
                 self.busy_ns.resize(widx + 1, 0);
             }
             self.busy_ns[widx] += upto - cur;
+            self.last = (wend - w, wend, widx);
             cur = upto;
         }
     }
@@ -384,6 +394,73 @@ mod tests {
         u.add_busy(SimTime::ZERO, SimTime::from_secs(2)); // 0.5 in w0, w1
         u.add_busy(SimTime::ZERO, SimTime::from_secs(1)); // +0.5 in w0
         assert!((u.mean_utilization(0, 1) - 0.75).abs() < 1e-9);
+    }
+
+    /// The loop `add_busy` ran before it cached its last window: the
+    /// reference the cached version must match exactly.
+    fn add_busy_reference(busy_ns: &mut Vec<u64>, w: u64, from: u64, to: u64) {
+        let mut cur = from;
+        while cur < to {
+            let widx = (cur / w) as usize;
+            let upto = to.min((widx as u64 + 1) * w);
+            if widx >= busy_ns.len() {
+                busy_ns.resize(widx + 1, 0);
+            }
+            busy_ns[widx] += upto - cur;
+            cur = upto;
+        }
+    }
+
+    /// Window width of the `add_busy` property test.
+    const W: u64 = 1_000;
+
+    /// An instant in one of the first eight windows, usually on or next
+    /// to a window edge, where an off-by-one in the cached bounds shows.
+    fn edge_instant(r: &mut dsb_testkit::Rng) -> u64 {
+        use dsb_testkit::gen;
+        let offset = match gen::u32_in(r, 0, 4) {
+            0 => 0,
+            1 => 1,
+            2 => W - 1,
+            _ => gen::u64_in(r, 0, W),
+        };
+        gen::u64_in(r, 0, 8) * W + offset
+    }
+
+    /// Random interval sequences give the reference loop's `busy_ns`:
+    /// zero-length and reversed intervals, intervals inside one window,
+    /// straddling a boundary, spanning several windows, and intervals
+    /// earlier than the cached window.
+    #[test]
+    fn add_busy_matches_reference_loop() {
+        use dsb_testkit::{gen, prop, prop_assert_eq};
+        prop!(
+            cases = 300,
+            |rng| {
+                gen::vec_with(rng, 1, 60, |r| {
+                    let from = edge_instant(r);
+                    match gen::u32_in(r, 0, 8) {
+                        0 => (from, from),
+                        1 => (from, from.saturating_sub(gen::u64_in(r, 1, W))),
+                        2 | 3 => (from, from + gen::u64_in(r, 1, W / 4)),
+                        _ => {
+                            let to = edge_instant(r);
+                            (from.min(to), from.max(to))
+                        }
+                    }
+                })
+            },
+            |spans: &Vec<(u64, u64)>| {
+                let mut u = UtilizationTracker::new(SimDuration::from_nanos(W), 1);
+                let mut reference = Vec::new();
+                for &(from, to) in spans {
+                    u.add_busy(SimTime::from_nanos(from), SimTime::from_nanos(to));
+                    add_busy_reference(&mut reference, W, from, to);
+                    prop_assert_eq!(&u.busy_ns, &reference);
+                }
+                Ok(())
+            }
+        );
     }
 
     #[test]
