@@ -6,11 +6,12 @@
 #   ./ci.sh            # build + test + format check + dsb-lint
 #   ./ci.sh --bless    # regenerate all golden fixtures, then run the gate
 #
-# Golden fixtures live under tests/goldens/. After an intentional change
-# to the timing model or the analyzer, run `./ci.sh --bless` locally and
-# commit the diff. The gate itself must never regenerate fixtures: if
-# UPDATE_GOLDENS leaked into a CI environment, every golden test would
-# silently rewrite its own expectation and pass.
+# Golden fixtures live under tests/goldens/, plus the Fig. 18 call-graph
+# exports under figures/. After an intentional change to the timing
+# model, the analyzer or an app's call graph, run `./ci.sh --bless`
+# locally and commit the diff. The gate itself must never regenerate
+# fixtures: if UPDATE_GOLDENS leaked into a CI environment, every golden
+# test would silently rewrite its own expectation and pass.
 #
 # The test pass runs in release (the simulation-heavy suites are ~10x
 # slower unoptimized) and is held to a hard wall-clock budget, guarding
@@ -26,7 +27,7 @@ if [ "${1:-}" = "--bless" ]; then
     echo "==> regenerating golden fixtures (UPDATE_GOLDENS=1)"
     UPDATE_GOLDENS=1 cargo test -q --release --offline \
         --test goldens --test analyzer_report --test dsb_report --test chaos
-    git --no-pager diff --stat -- tests/goldens/ || true
+    git --no-pager diff --stat -- tests/goldens/ figures/ || true
 fi
 
 if [ -n "${CI:-}" ] && [ -n "${UPDATE_GOLDENS:-}" ]; then

@@ -12,15 +12,15 @@
 use std::collections::BTreeMap;
 
 use dsb_core::{
-    AppSpec, ClusterSpec, Concurrency, EndpointRef, LbPolicy, PlacementPlan, RequestType,
-    ServiceId, Simulation, WorkerPolicy,
+    AppSpec, BadCall, ClusterSpec, Concurrency, EndpointRef, LbPolicy, PlacementPlan, RequestType,
+    ServiceId, Simulation, Step, WorkerPolicy,
 };
 use dsb_simcore::{SimDuration, SimTime};
 use dsb_telemetry::{evaluate, BurnRule, Scraper, Slo};
 
 use crate::model::{
     compute_demand_ns, endpoint_rates, erlang_c, feasible_plan, local_demand_ns,
-    lookahead_certificate, resolve, valid_edges, walk_calls, walk_fanouts,
+    lookahead_certificate, valid_edges,
 };
 use crate::{Code, Diagnostic, Severity};
 
@@ -134,7 +134,7 @@ impl<'a> Analyzer<'a> {
         let mut out = Vec::new();
 
         // DSB005 / DSB006 first: later passes only follow *valid* refs.
-        self.check_refs(&mut out);
+        self.report_bad_calls(&mut out);
         let edges = valid_edges(spec);
 
         // DSB001 cycles.
@@ -210,43 +210,34 @@ impl<'a> Analyzer<'a> {
 
     // -- DSB005 / DSB006 ----------------------------------------------------
 
-    fn check_refs(&self, out: &mut Vec<Diagnostic>) {
+    /// Reports every [`AppSpec::bad_calls`] entry: the call-validity rule
+    /// [`dsb_core::AppBuilder::build`] enforces by panicking.
+    fn report_bad_calls(&self, out: &mut Vec<Diagnostic>) {
         let spec = self.spec;
-        for (i, svc) in spec.services.iter().enumerate() {
-            let from = ServiceId(i as u32);
-            for ep in &svc.endpoints {
-                walk_calls(
-                    &ep.script,
-                    &mut |target, parallel| match resolve(spec, target) {
-                        None => out.push(self.diag(
-                            Code::DanglingEndpoint,
-                            Severity::Error,
-                            from,
-                            Some(&ep.name),
-                            format!(
-                                "call target (service {}, endpoint {}) does not exist",
-                                target.service.0, target.endpoint
-                            ),
-                        )),
-                        Some(callee) => {
-                            if parallel && callee.protocol.blocking_connections() {
-                                out.push(self.diag(
-                                    Code::ParallelToBlocking,
-                                    Severity::Error,
-                                    from,
-                                    Some(&ep.name),
-                                    format!(
-                                        "parallel fan-out to `{}` over {}: one outstanding \
-                                         request per connection cannot multiplex parallel calls",
-                                        callee.name,
-                                        callee.protocol.name()
-                                    ),
-                                ));
-                            }
-                        }
-                    },
-                );
-            }
+        for (from, e, bad) in spec.bad_calls() {
+            let (code, message) = match bad {
+                BadCall::Dangling(t) => (
+                    Code::DanglingEndpoint,
+                    format!(
+                        "call target (service {}, endpoint {}) does not exist",
+                        t.service.0, t.endpoint
+                    ),
+                ),
+                BadCall::ParallelToBlocking(callee) => {
+                    let callee = spec.service(callee);
+                    (
+                        Code::ParallelToBlocking,
+                        format!(
+                            "parallel fan-out to `{}` over {}: one outstanding \
+                             request per connection cannot multiplex parallel calls",
+                            callee.name,
+                            callee.protocol.name()
+                        ),
+                    )
+                }
+            };
+            let ep = &spec.service(from).endpoints[e as usize].name;
+            out.push(self.diag(code, Severity::Error, from, Some(ep), message));
         }
     }
 
@@ -359,9 +350,11 @@ impl<'a> Analyzer<'a> {
         }
         for svc in &spec.services {
             for ep in &svc.endpoints {
-                walk_calls(&ep.script, &mut |t, _| {
-                    if resolve(spec, t).is_some() {
-                        used[t.service.0 as usize][t.endpoint as usize] = true;
+                Step::walk(&ep.script, 1.0, &mut |s, _| {
+                    for (t, _, _) in s.calls() {
+                        if spec.callee(t).is_some() {
+                            used[t.service.0 as usize][t.endpoint as usize] = true;
+                        }
                     }
                 });
             }
@@ -414,13 +407,15 @@ impl<'a> Analyzer<'a> {
             // Distinct callees reached synchronously from this service.
             let mut sync_callees: Vec<ServiceId> = Vec::new();
             for ep in &svc.endpoints {
-                walk_calls(&ep.script, &mut |t, parallel| {
-                    if !parallel
-                        && resolve(spec, t).is_some()
-                        && t.service != from
-                        && !sync_callees.contains(&t.service)
-                    {
-                        sync_callees.push(t.service);
+                Step::walk(&ep.script, 1.0, &mut |s, _| {
+                    for (t, _, parallel) in s.calls() {
+                        if !parallel
+                            && spec.callee(t).is_some()
+                            && t.service != from
+                            && !sync_callees.contains(&t.service)
+                        {
+                            sync_callees.push(t.service);
+                        }
                     }
                 });
             }
@@ -505,10 +500,14 @@ impl<'a> Analyzer<'a> {
 
             // DSB003: a single request's fan-out vs the callee's pool.
             for ep in &svc.endpoints {
-                walk_fanouts(&ep.script, &mut |t, mean_n| {
-                    let Some(callee) = resolve(spec, t) else {
+                Step::walk(&ep.script, 1.0, &mut |s, _| {
+                    let Step::FanCall { target, n, .. } = s else {
                         return;
                     };
+                    let Some(callee) = spec.callee(*target) else {
+                        return;
+                    };
+                    let mean_n = n.mean();
                     let WorkerPolicy::Fixed(w) = callee.workers else {
                         return; // on-demand pools absorb any fan-out
                     };
@@ -688,8 +687,7 @@ impl<'a> Analyzer<'a> {
         let mut pairs: Vec<(ServiceId, ServiceId)> = Vec::new();
         for svc in &spec.services {
             for ep in &svc.endpoints {
-                let mut reads_seen = Vec::new();
-                read_pairs(spec, &ep.script, &mut reads_seen, &mut pairs);
+                read_pairs(spec, &ep.script, &mut pairs);
             }
         }
         if pairs.is_empty() {
@@ -699,8 +697,7 @@ impl<'a> Analyzer<'a> {
         // 2. Certain write order per endpoint vs the pairs.
         for (i, svc) in spec.services.iter().enumerate() {
             for ep in &svc.endpoints {
-                let mut writes = Vec::new();
-                certain_store_writes(spec, &ep.script, &mut writes);
+                let writes = certain_store_writes(spec, &ep.script);
                 for &(c, d) in &pairs {
                     let Some(ci) = writes.iter().position(|&w| w == c) else {
                         continue;
@@ -747,9 +744,11 @@ impl<'a> Analyzer<'a> {
         let mut caches: Vec<ServiceId> = Vec::new();
         for svc in &spec.services {
             for ep in &svc.endpoints {
-                walk_cache_targets(&ep.script, &mut |c| {
-                    if !caches.contains(&c) {
-                        caches.push(c);
+                Step::walk(&ep.script, 1.0, &mut |s, _| {
+                    if let Step::CacheLookup { cache, .. } = s {
+                        if !caches.contains(&cache.service) {
+                            caches.push(cache.service);
+                        }
                     }
                 });
             }
@@ -972,7 +971,7 @@ impl<'a> Analyzer<'a> {
         cal.trace_sample_prob = 1.0;
         let mut sim = Simulation::new(spec.clone(), cal, CALIBRATION_SEED);
         for (idx, &(entry, qps)) in self.offered.iter().enumerate() {
-            if qps <= 0.0 || resolve(spec, &entry).is_none() {
+            if qps <= 0.0 || spec.callee(entry).is_none() {
                 continue;
             }
             let n = (qps * self.calibration_secs).ceil() as u64;
@@ -1188,21 +1187,23 @@ fn fan_chains(spec: &AppSpec) -> BTreeMap<usize, (usize, usize)> {
     let mut out = BTreeMap::new();
     for (i, svc) in spec.services.iter().enumerate() {
         for ep in &svc.endpoints {
-            walk_calls(&ep.script, &mut |t, parallel| {
-                if !parallel || resolve(spec, t).is_none() {
-                    return;
-                }
-                let target = t.service.0 as usize;
-                // BFS downstream of the fan target, inclusive.
-                let mut seen = vec![false; n];
-                let mut stack = vec![target];
-                seen[target] = true;
-                while let Some(s) = stack.pop() {
-                    out.entry(s).or_insert((i, target));
-                    for &w in &adj[s] {
-                        if !seen[w] {
-                            seen[w] = true;
-                            stack.push(w);
+            Step::walk(&ep.script, 1.0, &mut |s, _| {
+                for (t, _, parallel) in s.calls() {
+                    if !parallel || spec.callee(t).is_none() {
+                        continue;
+                    }
+                    let target = t.service.0 as usize;
+                    // BFS downstream of the fan target, inclusive.
+                    let mut seen = vec![false; n];
+                    let mut stack = vec![target];
+                    seen[target] = true;
+                    while let Some(s) = stack.pop() {
+                        out.entry(s).or_insert((i, target));
+                        for &w in &adj[s] {
+                            if !seen[w] {
+                                seen[w] = true;
+                                stack.push(w);
+                            }
                         }
                     }
                 }
@@ -1246,8 +1247,8 @@ const WRITE_ENDPOINTS: &[&str] = &[
 /// Classifies a call target as a store operation: the callee must be
 /// partition-routed (a sharded store) and the endpoint name must be a
 /// known read or write verb. Returns `(store service, is_write)`.
-fn store_op(spec: &AppSpec, t: &dsb_core::EndpointRef) -> Option<(ServiceId, bool)> {
-    let callee = resolve(spec, t)?;
+fn store_op(spec: &AppSpec, t: EndpointRef) -> Option<(ServiceId, bool)> {
+    let callee = spec.callee(t)?;
     if callee.lb != LbPolicy::Partition {
         return None;
     }
@@ -1267,101 +1268,52 @@ fn store_op(spec: &AppSpec, t: &dsb_core::EndpointRef) -> Option<(ServiceId, boo
 /// orientation observed wins: once `C` is known to be consulted before
 /// `D`, a later re-read of `C` (a fan-out over cache keys, say) must
 /// not also record the reverse pair, or every cache-aside read path
-/// would accuse both orders.
-fn read_pairs(
-    spec: &AppSpec,
-    steps: &[dsb_core::Step],
-    reads_seen: &mut Vec<ServiceId>,
-    pairs: &mut Vec<(ServiceId, ServiceId)>,
-) {
-    use dsb_core::Step;
-    for s in steps {
-        match s {
-            Step::Call { target, .. } | Step::FanCall { target, .. } => {
-                if let Some((store, false)) = store_op(spec, target) {
-                    for &c in reads_seen.iter() {
-                        if c != store
-                            && !pairs.contains(&(c, store))
-                            && !pairs.contains(&(store, c))
-                        {
-                            pairs.push((c, store));
-                        }
+/// would accuse both orders. `ParCall` members have no order among
+/// themselves: they are read, but pair only with later reads.
+fn read_pairs(spec: &AppSpec, steps: &[Step], pairs: &mut Vec<(ServiceId, ServiceId)>) {
+    let mut reads_seen: Vec<ServiceId> = Vec::new();
+    Step::walk(steps, 1.0, &mut |s, _| match s {
+        Step::Call { target, .. } | Step::FanCall { target, .. } => {
+            if let Some((store, false)) = store_op(spec, *target) {
+                for &c in &reads_seen {
+                    if c != store && !pairs.contains(&(c, store)) && !pairs.contains(&(store, c)) {
+                        pairs.push((c, store));
                     }
+                }
+                if !reads_seen.contains(&store) {
+                    reads_seen.push(store);
+                }
+            }
+        }
+        Step::ParCall { calls } => {
+            for &(t, _) in calls {
+                if let Some((store, false)) = store_op(spec, t) {
                     if !reads_seen.contains(&store) {
                         reads_seen.push(store);
                     }
                 }
             }
-            Step::ParCall { calls } => {
-                for (t, _) in calls {
-                    if let Some((store, false)) = store_op(spec, t) {
-                        if !reads_seen.contains(&store) {
-                            reads_seen.push(store);
-                        }
-                    }
-                }
-            }
-            Step::Branch { then, els, .. } | Step::CacheLookup { then, els, .. } => {
-                read_pairs(spec, then, reads_seen, pairs);
-                read_pairs(spec, els, reads_seen, pairs);
-            }
-            Step::Compute { .. } | Step::Io { .. } => {}
         }
-    }
+        _ => {}
+    });
 }
 
-/// Visits the service behind every `CacheLookup` step, both arms walked.
-fn walk_cache_targets(steps: &[dsb_core::Step], f: &mut impl FnMut(ServiceId)) {
-    use dsb_core::Step;
-    for s in steps {
-        match s {
-            Step::CacheLookup {
-                cache, then, els, ..
-            } => {
-                f(cache.service);
-                walk_cache_targets(then, f);
-                walk_cache_targets(els, f);
+/// The stores *certainly* written by one invocation, in script order:
+/// `Call`/`FanCall` write targets the walk reaches with probability 1.0.
+/// Inside a branch arm with `0 < p < 1` nothing is certain (the
+/// write-behind exemption); `ParCall` members are skipped (no defined
+/// order between them).
+fn certain_store_writes(spec: &AppSpec, steps: &[Step]) -> Vec<ServiceId> {
+    let mut writes = Vec::new();
+    Step::walk(steps, 1.0, &mut |s, w| match s {
+        Step::Call { target, .. } | Step::FanCall { target, .. } if w >= 1.0 => {
+            if let Some((store, true)) = store_op(spec, *target) {
+                writes.push(store);
             }
-            Step::Branch { then, els, .. } => {
-                walk_cache_targets(then, f);
-                walk_cache_targets(els, f);
-            }
-            _ => {}
         }
-    }
-}
-
-/// Collects the stores *certainly* written by one invocation, in script
-/// order: `Call`/`FanCall` write targets at cumulative branch
-/// probability 1.0. Branch arms with `0 < p < 1` are skipped (their
-/// writes may not happen — the write-behind exemption), as are `ParCall`
-/// members (no defined order between them).
-fn certain_store_writes(spec: &AppSpec, steps: &[dsb_core::Step], writes: &mut Vec<ServiceId>) {
-    use dsb_core::Step;
-    for s in steps {
-        match s {
-            Step::Call { target, .. } | Step::FanCall { target, .. } => {
-                if let Some((store, true)) = store_op(spec, target) {
-                    writes.push(store);
-                }
-            }
-            Step::Branch { p, then, els } => {
-                if *p >= 1.0 {
-                    certain_store_writes(spec, then, writes);
-                } else if *p <= 0.0 {
-                    certain_store_writes(spec, els, writes);
-                }
-            }
-            Step::CacheLookup { hit, then, els, .. } => {
-                if *hit >= 1.0 {
-                    certain_store_writes(spec, then, writes);
-                } else if *hit <= 0.0 {
-                    certain_store_writes(spec, els, writes);
-                }
-            }
-            Step::ParCall { .. } | Step::Compute { .. } | Step::Io { .. } => {}
-        }
-    }
+        _ => {}
+    });
+    writes
 }
 
 /// Iterative Tarjan strongly-connected components; returns each SCC as a
@@ -1619,22 +1571,41 @@ mod tests {
 
     #[test]
     fn dangling_endpoint_is_an_error() {
+        let unknown_service = EndpointRef {
+            service: ServiceId(9),
+            endpoint: 0,
+        };
+        let unknown_endpoint = EndpointRef {
+            service: ServiceId(0),
+            endpoint: 7,
+        };
         let spec = AppSpec {
             name: "dangle".into(),
             services: vec![svc(
                 "front",
-                vec![Step::call(
-                    EndpointRef {
-                        service: ServiceId(9),
-                        endpoint: 0,
+                vec![
+                    Step::Branch {
+                        p: 0.5,
+                        then: Arc::new(vec![Step::call(unknown_service, 64.0)]),
+                        els: Arc::new(vec![]),
                     },
-                    64.0,
-                )],
+                    Step::call(unknown_endpoint, 64.0),
+                ],
             )],
         };
+        // Script order: a branch arm's calls before the steps after it.
+        assert_eq!(
+            spec.bad_calls(),
+            vec![
+                (ServiceId(0), 0, BadCall::Dangling(unknown_service)),
+                (ServiceId(0), 0, BadCall::Dangling(unknown_endpoint)),
+            ]
+        );
         let d = analyze(&spec);
-        assert_eq!(codes(&d), vec![Code::DanglingEndpoint]);
-        assert_eq!(d[0].severity, Severity::Error);
+        assert_eq!(d.len(), 2);
+        assert!(d
+            .iter()
+            .all(|d| d.code == Code::DanglingEndpoint && d.severity == Severity::Error));
     }
 
     #[test]

@@ -37,48 +37,13 @@ pub fn erlang_c(k: u64, a: f64) -> f64 {
     c.clamp(0.0, 1.0)
 }
 
-pub(crate) fn resolve<'s>(spec: &'s AppSpec, t: &EndpointRef) -> Option<&'s dsb_core::ServiceSpec> {
-    let svc = spec.services.get(t.service.0 as usize)?;
-    if (t.endpoint as usize) < svc.endpoints.len() {
-        Some(svc)
-    } else {
-        None
-    }
-}
-
-/// Calls `f(target, is_parallel)` for every call site in `steps`,
-/// including both branch arms.
-pub fn walk_calls(steps: &[Step], f: &mut impl FnMut(&EndpointRef, bool)) {
-    for s in steps {
-        match s {
-            Step::Call { target, .. } => f(target, false),
-            Step::FanCall { target, .. } => f(target, true),
-            Step::ParCall { calls } => {
-                for (t, _) in calls {
-                    f(t, true);
-                }
-            }
-            Step::Branch { then, els, .. } | Step::CacheLookup { then, els, .. } => {
-                walk_calls(then, f);
-                walk_calls(els, f);
-            }
-            Step::Compute { .. } | Step::Io { .. } => {}
-        }
-    }
-}
-
-/// Calls `f(target, expected_parallel_degree)` for every fan-out site.
-/// `ParCall`s count each distinct target once per listed call.
-pub fn walk_fanouts(steps: &[Step], f: &mut impl FnMut(&EndpointRef, f64)) {
-    for s in steps {
-        match s {
-            Step::FanCall { target, n, .. } => f(target, n.mean()),
-            Step::Branch { then, els, .. } | Step::CacheLookup { then, els, .. } => {
-                walk_fanouts(then, f);
-                walk_fanouts(els, f);
-            }
-            _ => {}
-        }
+/// Expected calls per invocation from `s` to each of its callees, given
+/// the probability `w` that an invocation reaches `s` (see
+/// [`Step::walk`]): a `FanCall` makes its mean degree's worth.
+fn calls_per_visit(s: &Step, w: f64) -> f64 {
+    match s {
+        Step::FanCall { n, .. } => w * n.mean().max(0.0),
+        _ => w,
     }
 }
 
@@ -88,9 +53,11 @@ pub fn valid_edges(spec: &AppSpec) -> Vec<(ServiceId, ServiceId)> {
     for (i, svc) in spec.services.iter().enumerate() {
         let from = ServiceId(i as u32);
         for ep in &svc.endpoints {
-            walk_calls(&ep.script, &mut |t, _| {
-                if resolve(spec, t).is_some() && !edges.contains(&(from, t.service)) {
-                    edges.push((from, t.service));
+            Step::walk(&ep.script, 1.0, &mut |s, _| {
+                for (t, _, _) in s.calls() {
+                    if spec.callee(t).is_some() && !edges.contains(&(from, t.service)) {
+                        edges.push((from, t.service));
+                    }
                 }
             });
         }
@@ -134,7 +101,7 @@ pub fn endpoint_rates(spec: &AppSpec, offered: &[(EndpointRef, f64)]) -> Option<
         .map(|s| vec![0.0; s.endpoints.len()])
         .collect();
     for &(entry, qps) in offered {
-        if resolve(spec, &entry).is_some() {
+        if spec.callee(entry).is_some() {
             rates[entry.service.0 as usize][entry.endpoint as usize] += qps;
         }
     }
@@ -144,10 +111,12 @@ pub fn endpoint_rates(spec: &AppSpec, offered: &[(EndpointRef, f64)]) -> Option<
             if rate <= 0.0 {
                 continue;
             }
-            let script = spec.services[svc].endpoints[e].script.clone();
-            expected_calls(&script, 1.0, &mut |t, per_invocation| {
-                if resolve(spec, t).is_some() && t.service.0 as usize != svc {
-                    rates[t.service.0 as usize][t.endpoint as usize] += rate * per_invocation;
+            Step::walk(&spec.services[svc].endpoints[e].script, 1.0, &mut |s, w| {
+                for (t, _, _) in s.calls() {
+                    if spec.callee(t).is_some() && t.service.0 as usize != svc {
+                        rates[t.service.0 as usize][t.endpoint as usize] +=
+                            rate * calls_per_visit(s, w);
+                    }
                 }
             });
         }
@@ -155,48 +124,13 @@ pub fn endpoint_rates(spec: &AppSpec, offered: &[(EndpointRef, f64)]) -> Option<
     Some(rates)
 }
 
-/// Calls `f(target, expected_calls_per_invocation)` for every call site,
-/// weighting by branch probability and expected fan-out degree.
-pub fn expected_calls(steps: &[Step], weight: f64, f: &mut impl FnMut(&EndpointRef, f64)) {
-    for s in steps {
-        match s {
-            Step::Call { target, .. } => f(target, weight),
-            Step::FanCall { target, n, .. } => f(target, weight * n.mean().max(0.0)),
-            Step::ParCall { calls } => {
-                for (t, _) in calls {
-                    f(t, weight);
-                }
-            }
-            Step::Branch { p, then, els } => {
-                expected_calls(then, weight * p, f);
-                expected_calls(els, weight * (1.0 - p), f);
-            }
-            Step::CacheLookup { hit, then, els, .. } => {
-                expected_calls(then, weight * hit, f);
-                expected_calls(els, weight * (1.0 - hit), f);
-            }
-            Step::Compute { .. } | Step::Io { .. } => {}
-        }
-    }
-}
-
 /// Mean nanoseconds an invocation of `steps` holds a worker for locally
 /// (compute + I/O; downstream calls excluded).
 pub fn local_demand_ns(steps: &[Step]) -> f64 {
-    let mut total = 0.0;
-    for s in steps {
-        match s {
-            Step::Compute { ns, .. } | Step::Io { ns } => total += ns.mean(),
-            Step::Branch { p, then, els } => {
-                total += p * local_demand_ns(then) + (1.0 - p) * local_demand_ns(els);
-            }
-            Step::CacheLookup { hit, then, els, .. } => {
-                total += hit * local_demand_ns(then) + (1.0 - hit) * local_demand_ns(els);
-            }
-            _ => {}
-        }
-    }
-    total
+    Step::mean(steps, &|s| match s {
+        Step::Compute { ns, .. } | Step::Io { ns } => ns.mean(),
+        _ => 0.0,
+    })
 }
 
 /// Mean nanoseconds of *CPU* demand per invocation (compute only — an
@@ -205,55 +139,10 @@ pub fn local_demand_ns(steps: &[Step]) -> f64 {
 /// processing is modeled separately (see [`net_demand_ns`] and
 /// [`CapacityModel::machine_net`]).
 pub fn compute_demand_ns(steps: &[Step]) -> f64 {
-    let mut total = 0.0;
-    for s in steps {
-        match s {
-            Step::Compute { ns, .. } => total += ns.mean(),
-            Step::Branch { p, then, els } => {
-                total += p * compute_demand_ns(then) + (1.0 - p) * compute_demand_ns(els);
-            }
-            Step::CacheLookup { hit, then, els, .. } => {
-                total += hit * compute_demand_ns(then) + (1.0 - hit) * compute_demand_ns(els);
-            }
-            _ => {}
-        }
-    }
-    total
-}
-
-/// Calls `f(target, expected_calls_per_invocation, mean_request_bytes)`
-/// for every call site, weighting by branch probability and expected
-/// fan-out degree — [`expected_calls`] plus the payload size the message
-/// cost model needs.
-pub fn expected_call_sites(
-    steps: &[Step],
-    weight: f64,
-    f: &mut impl FnMut(&EndpointRef, f64, f64),
-) {
-    for s in steps {
-        match s {
-            Step::Call { target, req_bytes } => f(target, weight, req_bytes.mean()),
-            Step::FanCall {
-                target,
-                req_bytes,
-                n,
-            } => f(target, weight * n.mean().max(0.0), req_bytes.mean()),
-            Step::ParCall { calls } => {
-                for (t, b) in calls {
-                    f(t, weight, b.mean());
-                }
-            }
-            Step::Branch { p, then, els } => {
-                expected_call_sites(then, weight * p, f);
-                expected_call_sites(els, weight * (1.0 - p), f);
-            }
-            Step::CacheLookup { hit, then, els, .. } => {
-                expected_call_sites(then, weight * hit, f);
-                expected_call_sites(els, weight * (1.0 - hit), f);
-            }
-            Step::Compute { .. } | Step::Io { .. } => {}
-        }
-    }
+    Step::mean(steps, &|s| match s {
+        Step::Compute { ns, .. } => ns.mean(),
+        _ => 0.0,
+    })
 }
 
 /// Client-ingress request payload (bytes) assumed by the static network
@@ -286,33 +175,35 @@ pub fn net_demand_ns(
             if rate <= 0.0 {
                 continue;
             }
-            expected_call_sites(&ep.script, 1.0, &mut |t, w, req_bytes| {
-                let Some(callee) = resolve(spec, t) else {
-                    return;
-                };
-                if t.service.0 as usize == i {
-                    return; // self-calls carry no propagated rate
+            Step::walk(&ep.script, 1.0, &mut |s, w| {
+                for (t, req_bytes, _) in s.calls() {
+                    let Some(callee) = spec.callee(t) else {
+                        continue;
+                    };
+                    if t.service.0 as usize == i {
+                        continue; // self-calls carry no propagated rate
+                    }
+                    let proto = callee.protocol;
+                    let req = proto.costs(req_bytes.mean().max(1.0) as u64);
+                    let resp_bytes = callee.endpoints[t.endpoint as usize].resp_bytes.mean();
+                    let resp = proto.costs(resp_bytes.max(1.0) as u64);
+                    let msgs = rate * calls_per_visit(s, w);
+                    net[i] += msgs
+                        * (req.send_kernel_ns
+                            + req.send_libs_ns
+                            + resp.recv_kernel_ns
+                            + resp.recv_libs_ns);
+                    net[t.service.0 as usize] += msgs
+                        * (req.recv_kernel_ns
+                            + req.recv_libs_ns
+                            + resp.send_kernel_ns
+                            + resp.send_libs_ns);
                 }
-                let proto = callee.protocol;
-                let req = proto.costs(req_bytes.max(1.0) as u64);
-                let resp_bytes = callee.endpoints[t.endpoint as usize].resp_bytes.mean();
-                let resp = proto.costs(resp_bytes.max(1.0) as u64);
-                let msgs = rate * w;
-                net[i] += msgs
-                    * (req.send_kernel_ns
-                        + req.send_libs_ns
-                        + resp.recv_kernel_ns
-                        + resp.recv_libs_ns);
-                net[t.service.0 as usize] += msgs
-                    * (req.recv_kernel_ns
-                        + req.recv_libs_ns
-                        + resp.send_kernel_ns
-                        + resp.send_libs_ns);
             });
         }
     }
     for &(entry, qps) in offered {
-        let Some(svc) = resolve(spec, &entry) else {
+        let Some(svc) = spec.callee(entry) else {
             continue;
         };
         let proto = svc.protocol;
@@ -359,8 +250,8 @@ fn script_resp_ns(
     wait_ns: &[f64],
     one_way_ns: f64,
 ) -> f64 {
-    let call_rtt = |t: &EndpointRef, req_bytes: f64| -> f64 {
-        let Some(callee) = resolve(spec, t) else {
+    let call_rtt = |t: EndpointRef, req_bytes: f64| -> f64 {
+        let Some(callee) = spec.callee(t) else {
             return 0.0;
         };
         if t.service.0 as usize == svc {
@@ -383,31 +274,18 @@ fn script_resp_ns(
             + wait_ns[t.service.0 as usize]
             + resp_ns[t.service.0 as usize][t.endpoint as usize]
     };
-    let mut total = 0.0;
-    for s in steps {
-        match s {
-            Step::Compute { ns, .. } | Step::Io { ns } => total += ns.mean(),
-            Step::Call { target, req_bytes } => total += call_rtt(target, req_bytes.mean()),
-            Step::FanCall {
-                target, req_bytes, ..
-            } => total += call_rtt(target, req_bytes.mean()),
-            Step::ParCall { calls } => {
-                total += calls
-                    .iter()
-                    .map(|(t, b)| call_rtt(t, b.mean()))
-                    .fold(0.0, f64::max);
-            }
-            Step::Branch { p, then, els } => {
-                total += p * script_resp_ns(spec, svc, then, resp_ns, wait_ns, one_way_ns)
-                    + (1.0 - p) * script_resp_ns(spec, svc, els, resp_ns, wait_ns, one_way_ns);
-            }
-            Step::CacheLookup { hit, then, els, .. } => {
-                total += hit * script_resp_ns(spec, svc, then, resp_ns, wait_ns, one_way_ns)
-                    + (1.0 - hit) * script_resp_ns(spec, svc, els, resp_ns, wait_ns, one_way_ns);
-            }
-        }
-    }
-    total
+    Step::mean(steps, &|s| match s {
+        Step::Compute { ns, .. } | Step::Io { ns } => ns.mean(),
+        Step::Call { target, req_bytes }
+        | Step::FanCall {
+            target, req_bytes, ..
+        } => call_rtt(*target, req_bytes.mean()),
+        Step::ParCall { calls } => calls
+            .iter()
+            .map(|(t, b)| call_rtt(*t, b.mean()))
+            .fold(0.0, f64::max),
+        _ => 0.0,
+    })
 }
 
 /// Builds the hold model by walking services callee-first: each pool's

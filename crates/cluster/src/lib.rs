@@ -94,14 +94,14 @@ pub struct ScaleEvent {
 #[derive(Debug)]
 pub struct Autoscaler {
     policy: ScalePolicy,
-    managed: Vec<(ServiceId, ScalePolicy)>,
+    managed: Vec<ServiceId>,
     last_action: Vec<(ServiceId, SimTime)>,
     events: Vec<ScaleEvent>,
     budget_per_tick: usize,
 }
 
 impl Autoscaler {
-    /// Creates an autoscaler with a default policy for managed services.
+    /// Creates an autoscaler applying `policy` to every managed service.
     pub fn new(policy: ScalePolicy) -> Self {
         Autoscaler {
             policy,
@@ -124,14 +124,9 @@ impl Autoscaler {
         self
     }
 
-    /// Manages `service` with the default policy.
+    /// Manages `service` with the autoscaler's policy.
     pub fn manage(&mut self, service: ServiceId) {
-        self.managed.push((service, self.policy));
-    }
-
-    /// Manages `service` with a specific policy.
-    pub fn manage_with(&mut self, service: ServiceId, policy: ScalePolicy) {
-        self.managed.push((service, policy));
+        self.managed.push(service);
     }
 
     /// All scaling decisions taken so far.
@@ -139,11 +134,11 @@ impl Autoscaler {
         &self.events
     }
 
-    fn cooled_down(&self, service: ServiceId, now: SimTime, cooldown: SimDuration) -> bool {
+    fn cooled_down(&self, service: ServiceId, now: SimTime) -> bool {
         self.last_action
             .iter()
             .find(|(s, _)| *s == service)
-            .is_none_or(|(_, t)| now.since(*t) >= cooldown)
+            .is_none_or(|(_, t)| now.since(*t) >= self.policy.cooldown)
     }
 
     fn mark_action(&mut self, service: ServiceId, now: SimTime) {
@@ -158,17 +153,18 @@ impl Autoscaler {
     /// to the most-occupied services first, bounded by the per-tick budget.
     pub fn tick(&mut self, sim: &mut Simulation) {
         let now = sim.now();
+        let policy = self.policy;
         let managed = self.managed.clone();
         // Rank scale-out candidates by occupancy (the only signal a
         // utilization-driven manager has).
-        let mut candidates: Vec<(ServiceId, ScalePolicy, f64)> = managed
+        let mut candidates: Vec<(ServiceId, f64)> = managed
             .iter()
-            .filter(|(s, p)| self.cooled_down(*s, now, p.cooldown))
-            .map(|&(s, p)| (s, p, sim.occupancy(s)))
-            .filter(|&(s, p, occ)| occ > p.high && sim.instance_count(s) < p.max_instances)
+            .filter(|&&s| self.cooled_down(s, now))
+            .map(|&s| (s, sim.occupancy(s)))
+            .filter(|&(s, occ)| occ > policy.high && sim.instance_count(s) < policy.max_instances)
             .collect();
-        candidates.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("occupancy is finite"));
-        for &(service, _, occ) in candidates.iter().take(self.budget_per_tick) {
+        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("occupancy is finite"));
+        for &(service, occ) in candidates.iter().take(self.budget_per_tick) {
             sim.add_instance(service);
             self.mark_action(service, now);
             self.events.push(ScaleEvent {
@@ -178,8 +174,8 @@ impl Autoscaler {
                 delta: 1,
             });
         }
-        for (service, policy) in managed {
-            if !self.cooled_down(service, now, policy.cooldown) {
+        for service in managed {
+            if !self.cooled_down(service, now) {
                 continue;
             }
             let occ = sim.occupancy(service);

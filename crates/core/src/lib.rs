@@ -37,12 +37,12 @@ mod spec;
 mod stats;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosPlan, FaultWindow};
-pub use placement::{PlacementHint, PlacementPlan, PlacementPolicy, Placer};
+pub use placement::{PlacementHint, PlacementPlan, Placer};
 pub use sim::{ConnPoolSnapshot, InstanceState, Simulation};
 pub use slab::{Slab, SlabKey};
 pub use spec::{
-    AppBuilder, AppSpec, ClusterSpec, Concurrency, EndpointRef, EndpointSpec, InstanceId, LbPolicy,
-    MachineId, MachineSpec, RequestType, ServiceBuilder, ServiceId, ServiceSpec, Step,
+    AppBuilder, AppSpec, BadCall, ClusterSpec, Concurrency, EndpointRef, EndpointSpec, InstanceId,
+    LbPolicy, MachineId, MachineSpec, RequestType, ServiceBuilder, ServiceId, ServiceSpec, Step,
     WorkerPolicy,
 };
 pub use stats::{RequestStats, ServiceStats};

@@ -8,35 +8,22 @@
 //! and a static analysis pass ([`PlacementPlan::compute`]) agree exactly
 //! on the assignment.
 //!
-//! The default [`PlacementPolicy::CoreBudget`] policy walks candidate
-//! machines (filtered by the service's `zone_pref`) round-robin and
-//! picks the first whose remaining core budget fits the instance's
-//! worker demand; when nothing fits it falls back to the least-loaded
-//! candidate (most remaining budget, lowest machine id on ties), which
-//! keeps spreading deterministic once a cluster is saturated. Placement
-//! decisions are never revisited: adding an instance cannot relocate an
-//! existing one (scale-out stability, mirrored after the shard-stable
-//! partition routing of `LbPolicy::Partition`).
+//! The placer walks candidate machines (filtered by the service's
+//! `zone_pref`) round-robin and picks the first whose remaining core
+//! budget fits the instance's worker demand (its fixed workers, capped
+//! at the machine size); when nothing fits it falls back to the
+//! least-loaded candidate (most remaining budget, lowest machine id on
+//! ties), which keeps spreading deterministic once a cluster is
+//! saturated. Placement decisions are never revisited: adding an
+//! instance cannot relocate an existing one (scale-out stability,
+//! mirrored after the shard-stable partition routing of
+//! `LbPolicy::Partition`).
 
 use dsb_net::Zone;
 
 use crate::spec::{
     AppSpec, ClusterSpec, InstanceId, MachineId, ServiceId, ServiceSpec, WorkerPolicy,
 };
-
-/// How instances are assigned to machines at provision/scale-out time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// Round-robin over zone candidates, respecting per-machine core
-    /// budgets: an instance demands as many cores as it has fixed
-    /// workers (capped at the machine size) and lands on the first
-    /// candidate with budget left, falling back to the least-loaded
-    /// candidate when the cluster is full.
-    #[default]
-    CoreBudget,
-    /// Legacy blind round-robin over zone candidates, ignoring budgets.
-    Spread,
-}
 
 /// Per-service placement hint (the paper's deployment tables pin some
 /// tiers together, e.g. one full sensor-to-controller stack per drone).
@@ -67,7 +54,6 @@ fn core_demand(spec: &ServiceSpec) -> u32 {
 /// statically.
 #[derive(Debug)]
 pub struct Placer {
-    policy: PlacementPolicy,
     zones: Vec<Zone>,
     cores: Vec<u32>,
     /// Remaining core budget per machine; goes negative once the
@@ -82,7 +68,6 @@ impl Placer {
     /// A placer for `cluster` hosting an app of `services` services.
     pub fn new(cluster: &ClusterSpec, services: usize) -> Self {
         Placer {
-            policy: cluster.placement,
             zones: cluster.machines.iter().map(|m| m.zone).collect(),
             cores: cluster.machines.iter().map(|m| m.cores).collect(),
             remaining: cluster.machines.iter().map(|m| m.cores as i64).collect(),
@@ -123,36 +108,27 @@ impl Placer {
             spec.name,
             spec.zone_pref
         );
-        let chosen = match self.policy {
-            PlacementPolicy::Spread => {
-                let m = candidates[self.rr % candidates.len()];
+        let start = self.rr % candidates.len();
+        let fit = (0..candidates.len())
+            .map(|k| candidates[(start + k) % candidates.len()])
+            .find(|&m| {
+                // A demand larger than the machine can never fit; budget
+                // what the machine can give.
+                self.remaining[m] >= demand.min(self.cores[m]) as i64
+            });
+        let chosen = match fit {
+            Some(m) => {
                 self.rr += 1;
                 m
             }
-            PlacementPolicy::CoreBudget => {
-                let start = self.rr % candidates.len();
-                let fit = (0..candidates.len())
-                    .map(|k| candidates[(start + k) % candidates.len()])
-                    .find(|&m| {
-                        // A demand larger than the machine can never
-                        // fit; budget what the machine can give.
-                        self.remaining[m] >= demand.min(self.cores[m]) as i64
-                    });
-                match fit {
-                    Some(m) => {
-                        self.rr += 1;
-                        m
-                    }
-                    // Cluster saturated: least-loaded candidate (most
-                    // remaining budget; lowest id breaks ties because
-                    // max_by_key returns the *last* maximum).
-                    None => *candidates
-                        .iter()
-                        .rev()
-                        .max_by_key(|&&m| self.remaining[m])
-                        .expect("candidates is non-empty"),
-                }
-            }
+            // Cluster saturated: least-loaded candidate (most remaining
+            // budget; lowest id breaks ties because max_by_key returns
+            // the *last* maximum).
+            None => *candidates
+                .iter()
+                .rev()
+                .max_by_key(|&&m| self.remaining[m])
+                .expect("candidates is non-empty"),
         };
         let m = MachineId(chosen as u32);
         self.charge(service, m, demand);
@@ -293,16 +269,6 @@ mod tests {
         for (k, &m) in r.iter().enumerate() {
             assert_eq!(m, a[k % a.len()], "rider {k} not with its anchor");
         }
-    }
-
-    #[test]
-    fn spread_policy_ignores_budgets() {
-        let app = app_of(&[8, 8, 8]);
-        let mut cluster = cluster_of(&[8, 8]);
-        cluster.placement = PlacementPolicy::Spread;
-        let plan = PlacementPlan::compute(&app, &cluster);
-        let machines: Vec<u32> = plan.instances().iter().map(|&(_, m)| m.0).collect();
-        assert_eq!(machines, vec![0, 1, 0]);
     }
 
     #[test]

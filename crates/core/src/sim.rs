@@ -421,6 +421,48 @@ enum Message {
     },
 }
 
+impl Message {
+    /// The failure notice for a request of type `rtype`, spawned at
+    /// `spawn` and addressed to `inst`: an error response to `caller`,
+    /// or a failed reply when the client itself is waiting.
+    fn failure(
+        sh: &SharedState,
+        caller: Option<Caller>,
+        inst: InstanceId,
+        rtype: RequestType,
+        spawn: SimTime,
+    ) -> Message {
+        match caller {
+            Some(c) => {
+                let svc = sh.insts[inst.0 as usize].service;
+                Message::Response(ResponseMsg {
+                    to_inv: c.inv,
+                    to_machine: c.machine,
+                    from_inst: inst,
+                    bytes: 1,
+                    protocol: sh.services[svc.0 as usize].spec.protocol,
+                    failed: true,
+                })
+            }
+            None => Message::ClientReply {
+                rtype,
+                spawn,
+                inst,
+                failed: true,
+            },
+        }
+    }
+
+    /// The shard this message is delivered on.
+    fn dst_shard(&self, sh: &SharedState) -> u16 {
+        match self {
+            Message::Request(rm) => sh.insts[rm.dst.0 as usize].machine.0 as u16,
+            Message::Response(resp) => resp.to_machine.0 as u16,
+            Message::ClientReply { .. } => sh.client_shard(),
+        }
+    }
+}
+
 /// A unit of CPU work scheduled on a machine core (carried by
 /// [`Ev::CoreJobDone`]).
 #[derive(Debug)]
@@ -691,6 +733,20 @@ impl ShardState {
         let idx = self.msg_pool.alloc(msg);
         let at = SimTime::from_nanos(at_ns);
         wheel.schedule_keyed(at, key, (self.shard, Ev::MsgArrive(idx)));
+    }
+
+    /// Sends failure notice `msg` to arrive at `at`, under a key minted
+    /// here: filed in this shard's own wheel when it is addressed here,
+    /// else crossed to its destination shard.
+    fn post(&mut self, sh: &SharedState, sink: &mut Sink, at: SimTime, msg: Message) {
+        let key = self.mint();
+        let dst = msg.dst_shard(sh);
+        if dst == self.shard {
+            let idx = self.msg_pool.alloc(msg);
+            sink.local(at, key, Ev::MsgArrive(idx));
+        } else {
+            sink.cross(dst, at.as_nanos(), key, msg);
+        }
     }
 
     // -- CPU ---------------------------------------------------------------
@@ -974,50 +1030,25 @@ impl ShardState {
         msg: Message,
     ) {
         let at = sent + SimDuration::from_nanos(timeout_ns);
-        match msg {
-            Message::Request(rm) => match rm.caller {
-                Some(c) => {
+        let notice = match msg {
+            Message::Request(rm) => {
+                if let Some(c) = rm.caller {
                     debug_assert_eq!(
                         c.machine.0 as u16, self.shard,
                         "requests transmit from the caller's shard"
                     );
-                    let svc = sh.insts[rm.dst.0 as usize].service;
-                    let key = self.mint();
-                    let idx = self.msg_pool.alloc(Message::Response(ResponseMsg {
-                        to_inv: c.inv,
-                        to_machine: c.machine,
-                        from_inst: rm.dst,
-                        bytes: 1,
-                        protocol: sh.services[svc.0 as usize].spec.protocol,
-                        failed: true,
-                    }));
-                    sink.local(at, key, Ev::MsgArrive(idx));
                 }
-                None => {
-                    let key = self.mint();
-                    sink.cross(
-                        sh.client_shard(),
-                        at.as_nanos(),
-                        key,
-                        Message::ClientReply {
-                            rtype: rm.rtype,
-                            spawn: rm.spawn,
-                            inst: rm.dst,
-                            failed: true,
-                        },
-                    );
-                }
-            },
+                Message::failure(sh, rm.caller, rm.dst, rm.rtype, rm.spawn)
+            }
             Message::Response(mut resp) => {
                 resp.failed = true;
-                let key = self.mint();
-                let dst = resp.to_machine.0 as u16;
-                sink.cross(dst, at.as_nanos(), key, Message::Response(resp));
+                Message::Response(resp)
             }
             Message::ClientReply { .. } => {
                 unreachable!("client replies never cross a machine cut")
             }
-        }
+        };
+        self.post(sh, sink, at, notice);
     }
 
     fn deliver(&mut self, sh: &SharedState, sink: &mut Sink, now: SimTime, msg: Message) {
@@ -1112,40 +1143,8 @@ impl ShardState {
     /// lookahead delay, identically at every worker count.
     fn post_failed(&mut self, sh: &SharedState, sink: &mut Sink, now: SimTime, rm: RequestMsg) {
         let at = now + SimDuration::from_nanos(sh.lookahead_ns);
-        match rm.caller {
-            Some(c) => {
-                let svc = sh.insts[rm.dst.0 as usize].service;
-                let resp = Message::Response(ResponseMsg {
-                    to_inv: c.inv,
-                    to_machine: c.machine,
-                    from_inst: rm.dst,
-                    bytes: 1,
-                    protocol: sh.services[svc.0 as usize].spec.protocol,
-                    failed: true,
-                });
-                let key = self.mint();
-                if c.machine.0 as u16 == self.shard {
-                    let idx = self.msg_pool.alloc(resp);
-                    sink.local(at, key, Ev::MsgArrive(idx));
-                } else {
-                    sink.cross(c.machine.0 as u16, at.as_nanos(), key, resp);
-                }
-            }
-            None => {
-                let key = self.mint();
-                sink.cross(
-                    sh.client_shard(),
-                    at.as_nanos(),
-                    key,
-                    Message::ClientReply {
-                        rtype: rm.rtype,
-                        spawn: rm.spawn,
-                        inst: rm.dst,
-                        failed: true,
-                    },
-                );
-            }
-        }
+        let notice = Message::failure(sh, rm.caller, rm.dst, rm.rtype, rm.spawn);
+        self.post(sh, sink, at, notice);
     }
 
     fn enqueue_request(
@@ -2331,22 +2330,8 @@ impl Simulation {
                 .invocations
                 .remove(k)
                 .expect("collected live key");
-            let msg = match inv.caller {
-                Some(c) => Message::Response(ResponseMsg {
-                    to_inv: c.inv,
-                    to_machine: c.machine,
-                    from_inst: inv.instance,
-                    bytes: 1,
-                    protocol: self.shared.services[inv.service.0 as usize].spec.protocol,
-                    failed: true,
-                }),
-                None => Message::ClientReply {
-                    rtype: inv.rtype,
-                    spawn: inv.spawn,
-                    inst: inv.instance,
-                    failed: true,
-                },
-            };
+            let msg =
+                Message::failure(&self.shared, inv.caller, inv.instance, inv.rtype, inv.spawn);
             self.post_boundary_msg(shard, at_ns, msg);
         }
         // Queued (not yet started) requests, then reset the runtimes.
@@ -2356,25 +2341,8 @@ impl Simulation {
                 .drain(..)
                 .collect();
             for p in queued {
-                let msg = match p.msg.caller {
-                    Some(c) => Message::Response(ResponseMsg {
-                        to_inv: c.inv,
-                        to_machine: c.machine,
-                        from_inst: id,
-                        bytes: 1,
-                        protocol: self.shared.services
-                            [self.shared.insts[id.0 as usize].service.0 as usize]
-                            .spec
-                            .protocol,
-                        failed: true,
-                    }),
-                    None => Message::ClientReply {
-                        rtype: p.msg.rtype,
-                        spawn: p.msg.spawn,
-                        inst: id,
-                        failed: true,
-                    },
-                };
+                let msg =
+                    Message::failure(&self.shared, p.msg.caller, id, p.msg.rtype, p.msg.spawn);
                 self.post_boundary_msg(shard, at_ns, msg);
             }
             self.reset_inst_rt(shard, id);
@@ -2386,11 +2354,7 @@ impl Simulation {
     /// same identity rule event handlers follow, so every worker count
     /// orders the notices identically.
     fn post_boundary_msg(&mut self, from: usize, at_ns: u64, msg: Message) {
-        let dst = match &msg {
-            Message::Request(rm) => self.shared.insts[rm.dst.0 as usize].machine.0 as usize,
-            Message::Response(r) => r.to_machine.0 as usize,
-            Message::ClientReply { .. } => self.shards.len() - 1,
-        };
+        let dst = msg.dst_shard(&self.shared) as usize;
         let key = self.shards[from].mint();
         let lane = lane_of(dst, self.lanes.len());
         let wheel = &mut self.lanes[lane].0;
@@ -2712,11 +2676,6 @@ impl Simulation {
             .count() as u64
     }
 
-    /// Machines currently crashed by chaos faults.
-    pub fn machines_down(&self) -> u64 {
-        self.shared.machines.iter().filter(|m| m.down).count() as u64
-    }
-
     /// Unordered machine pairs currently cut by an active partition.
     pub fn partition_edges(&self) -> u64 {
         let Some(net) = self.shared.chaos_net.as_deref() else {
@@ -2731,13 +2690,6 @@ impl Simulation {
             }
         }
         edges
-    }
-
-    /// Machines whose NIC is currently degraded (delay multiplier > 1).
-    pub fn degraded_machines(&self) -> u64 {
-        self.shared.chaos_net.as_deref().map_or(0, |net| {
-            net.degrade.iter().filter(|f| **f > 1.0).count() as u64
-        })
     }
 
     /// Number of request-type slots with statistics so far (indexable via
@@ -2831,33 +2783,9 @@ impl Simulation {
         self.shared.services[service.0 as usize].spec.lb = lb;
     }
 
-    /// Changes the connection limit callers enforce toward `service`
-    /// (applies to existing pools too).
-    pub fn set_conn_limit(&mut self, service: ServiceId, limit: u32) {
-        self.shared.services[service.0 as usize].spec.conn_limit = limit.max(1);
-        for shard in &mut self.shards {
-            for inst in &mut shard.insts {
-                if let Some(pool) = inst.conns.get_mut(&service) {
-                    pool.limit = limit.max(1);
-                }
-            }
-        }
-    }
-
     /// The machine the placement layer assigned to an instance.
     pub fn instance_machine(&self, inst: InstanceId) -> MachineId {
         self.shared.insts[inst.0 as usize].machine
-    }
-
-    /// The zone a service's first instance runs in (placement inspection).
-    pub fn service_zone(&self, service: ServiceId) -> Option<Zone> {
-        self.shared.services[service.0 as usize]
-            .instances
-            .first()
-            .map(|i| {
-                let m = self.shared.insts[i.0 as usize].machine;
-                self.shared.machines[m.0 as usize].zone
-            })
     }
 }
 #[cfg(test)]

@@ -193,6 +193,79 @@ impl Step {
             }),
         }
     }
+
+    /// Visits every step of `steps` in script order, each with `w` times
+    /// the probability that an invocation reaches it. A
+    /// [`Step::Branch`] or [`Step::CacheLookup`] is visited before its
+    /// arms; `then` runs at `w * p`, then `els` at `w * (1 - p)`.
+    ///
+    /// With [`Step::mean`], the one static traversal of a script's tree:
+    /// a new branching variant is taught to these two, the simulator's
+    /// interpreter and `dsb-serverless`'s rewrite, and to no other
+    /// reader.
+    pub fn walk(steps: &[Step], w: f64, f: &mut impl FnMut(&Step, f64)) {
+        for s in steps {
+            f(s, w);
+            match s {
+                Step::Branch { p, then, els }
+                | Step::CacheLookup {
+                    hit: p, then, els, ..
+                } => {
+                    Step::walk(then, w * p, f);
+                    Step::walk(els, w * (1.0 - p), f);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The branch-weighted mean of `leaf` over one invocation of
+    /// `steps`: `leaf` of every non-branching step, summed in script
+    /// order, with each branch adding `p * mean(then) + (1 - p) *
+    /// mean(els)`.
+    pub fn mean(steps: &[Step], leaf: &impl Fn(&Step) -> f64) -> f64 {
+        let mut total = 0.0;
+        for s in steps {
+            total += match s {
+                Step::Branch { p, then, els }
+                | Step::CacheLookup {
+                    hit: p, then, els, ..
+                } => p * Step::mean(then, leaf) + (1.0 - p) * Step::mean(els, leaf),
+                _ => leaf(s),
+            };
+        }
+        total
+    }
+
+    /// The calls this step makes itself, as `(callee, request bytes,
+    /// parallel)`: one for a `Call` or `FanCall`, one per member of a
+    /// `ParCall`, none for any other step. `FanCall` and `ParCall`
+    /// members are the parallel ones.
+    pub fn calls(&self) -> impl Iterator<Item = (EndpointRef, &Dist, bool)> {
+        let (one, par): (_, &[(EndpointRef, Dist)]) = match self {
+            Step::Call { target, req_bytes } => (Some((*target, req_bytes, false)), &[]),
+            Step::FanCall {
+                target, req_bytes, ..
+            } => (Some((*target, req_bytes, true)), &[]),
+            Step::ParCall { calls } => (None, calls),
+            _ => (None, &[]),
+        };
+        one.into_iter()
+            .chain(par.iter().map(|(t, b)| (*t, b, true)))
+    }
+}
+
+/// Every endpoint `s` names, with its parallel flag: its
+/// [`Step::calls`] plus a `CacheLookup`'s cache marker, which the
+/// simulator resolves to a service too.
+fn named_targets(s: &Step) -> impl Iterator<Item = (EndpointRef, bool)> + '_ {
+    let marker = match s {
+        Step::CacheLookup { cache, .. } => Some((*cache, false)),
+        _ => None,
+    };
+    marker
+        .into_iter()
+        .chain(s.calls().map(|(t, _, parallel)| (t, parallel)))
 }
 
 /// An endpoint: a named handler plus its response size.
@@ -266,15 +339,51 @@ impl AppSpec {
         self.services.len()
     }
 
+    /// The service behind `t`, if `t` names one of its endpoints.
+    pub fn callee(&self, t: EndpointRef) -> Option<&ServiceSpec> {
+        self.services
+            .get(t.service.0 as usize)
+            .filter(|svc| (t.endpoint as usize) < svc.endpoints.len())
+    }
+
+    /// Every call that breaks the call-validity rule, as `(caller,
+    /// endpoint index, problem)` in service, endpoint and script order:
+    /// a target (or `CacheLookup` marker) naming no endpoint, and a
+    /// parallel call to a service whose protocol holds one outstanding
+    /// request per connection. [`AppBuilder::build`] panics on the first
+    /// entry; the static analyzer reports them all.
+    pub fn bad_calls(&self) -> Vec<(ServiceId, u32, BadCall)> {
+        let mut bad = Vec::new();
+        for (i, svc) in self.services.iter().enumerate() {
+            for (e, ep) in svc.endpoints.iter().enumerate() {
+                Step::walk(&ep.script, 1.0, &mut |s, _| {
+                    for (t, parallel) in named_targets(s) {
+                        let problem = match self.callee(t) {
+                            None => BadCall::Dangling(t),
+                            Some(c) if parallel && c.protocol.blocking_connections() => {
+                                BadCall::ParallelToBlocking(t.service)
+                            }
+                            Some(_) => continue,
+                        };
+                        bad.push((ServiceId(i as u32), e as u32, problem));
+                    }
+                });
+            }
+        }
+        bad
+    }
+
     /// All dependency edges `(caller, callee)` implied by scripts.
     pub fn edges(&self) -> Vec<(ServiceId, ServiceId)> {
         let mut edges = Vec::new();
         for (i, svc) in self.services.iter().enumerate() {
             let from = ServiceId(i as u32);
             for ep in &svc.endpoints {
-                collect_targets(&ep.script, &mut |t| {
-                    if !edges.contains(&(from, t.service)) {
-                        edges.push((from, t.service));
+                Step::walk(&ep.script, 1.0, &mut |s, _| {
+                    for (t, _) in named_targets(s) {
+                        if !edges.contains(&(from, t.service)) {
+                            edges.push((from, t.service));
+                        }
                     }
                 });
             }
@@ -300,29 +409,15 @@ impl AppSpec {
     }
 }
 
-fn collect_targets(steps: &[Step], f: &mut impl FnMut(EndpointRef)) {
-    for s in steps {
-        match s {
-            Step::Call { target, .. } | Step::FanCall { target, .. } => f(*target),
-            Step::ParCall { calls } => {
-                for (t, _) in calls {
-                    f(*t);
-                }
-            }
-            Step::Branch { then, els, .. } => {
-                collect_targets(then, f);
-                collect_targets(els, f);
-            }
-            Step::CacheLookup {
-                cache, then, els, ..
-            } => {
-                f(*cache);
-                collect_targets(then, f);
-                collect_targets(els, f);
-            }
-            Step::Compute { .. } | Step::Io { .. } => {}
-        }
-    }
+/// One way a call breaks the call-validity rule (see
+/// [`AppSpec::bad_calls`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BadCall {
+    /// The call names an endpoint that does not exist.
+    Dangling(EndpointRef),
+    /// A parallel call (`FanCall` or `ParCall`) to this service, whose
+    /// protocol cannot multiplex outstanding requests on a connection.
+    ParallelToBlocking(ServiceId),
 }
 
 /// Fluent construction of an [`AppSpec`].
@@ -421,66 +516,30 @@ impl AppBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a `ParCall`/`FanCall` targets a blocking-connection
-    /// protocol (head-of-line-blocked protocols cannot multiplex parallel
-    /// calls in this model), or if any call references an out-of-range
-    /// endpoint.
+    /// Panics on the first entry of [`AppSpec::bad_calls`]: a call (or
+    /// cache marker) naming an out-of-range endpoint, or a
+    /// `ParCall`/`FanCall` toward a blocking-connection protocol
+    /// (head-of-line-blocked protocols cannot multiplex parallel calls in
+    /// this model).
     pub fn build(self) -> AppSpec {
         let spec = AppSpec {
             name: self.name,
             services: self.services,
         };
-        for svc in &spec.services {
-            for ep in &svc.endpoints {
-                validate_steps(&spec, &ep.script, &svc.name);
+        if let Some(&(from, _, bad)) = spec.bad_calls().first() {
+            let caller = &spec.service(from).name;
+            match bad {
+                BadCall::Dangling(t) => panic!(
+                    "{caller}: call to unknown endpoint {} of service {}",
+                    t.endpoint, t.service.0
+                ),
+                BadCall::ParallelToBlocking(s) => panic!(
+                    "{caller}: parallel calls to blocking protocol of {}",
+                    spec.service(s).name
+                ),
             }
         }
         spec
-    }
-}
-
-fn validate_steps(spec: &AppSpec, steps: &[Step], in_service: &str) {
-    let check = |t: &EndpointRef, parallel: bool| {
-        let callee = spec
-            .services
-            .get(t.service.0 as usize)
-            .unwrap_or_else(|| panic!("{in_service}: call to unknown service {:?}", t.service));
-        assert!(
-            (t.endpoint as usize) < callee.endpoints.len(),
-            "{in_service}: call to unknown endpoint {} of {}",
-            t.endpoint,
-            callee.name
-        );
-        if parallel {
-            assert!(
-                !callee.protocol.blocking_connections(),
-                "{in_service}: parallel calls to blocking protocol of {}",
-                callee.name
-            );
-        }
-    };
-    for s in steps {
-        match s {
-            Step::Call { target, .. } => check(target, false),
-            Step::FanCall { target, .. } => check(target, true),
-            Step::ParCall { calls } => {
-                for (t, _) in calls {
-                    check(t, true);
-                }
-            }
-            Step::Branch { then, els, .. } => {
-                validate_steps(spec, then, in_service);
-                validate_steps(spec, els, in_service);
-            }
-            Step::CacheLookup {
-                cache, then, els, ..
-            } => {
-                check(cache, false);
-                validate_steps(spec, then, in_service);
-                validate_steps(spec, els, in_service);
-            }
-            Step::Compute { .. } | Step::Io { .. } => {}
-        }
     }
 }
 
@@ -639,8 +698,6 @@ pub struct ClusterSpec {
     /// round-robin timeslices (OS preemption). `SimDuration::MAX`
     /// disables preemption (an ablation knob).
     pub cpu_quantum: dsb_simcore::SimDuration,
-    /// Instance-to-machine placement policy.
-    pub placement: crate::placement::PlacementPolicy,
 }
 
 impl ClusterSpec {
@@ -655,7 +712,6 @@ impl ClusterSpec {
             trace_sample_prob: 0.01,
             window: dsb_simcore::SimDuration::from_secs(1),
             cpu_quantum: dsb_simcore::SimDuration::from_millis(5),
-            placement: crate::placement::PlacementPolicy::CoreBudget,
         }
     }
 }
@@ -765,6 +821,100 @@ mod tests {
             }
             other => panic!("expected cache lookup, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn walk_mean_and_calls_follow_script_order() {
+        let t = |endpoint| EndpointRef {
+            service: ServiceId(0),
+            endpoint,
+        };
+        let at = |ns: f64| Dist::constant(ns);
+        let script = vec![
+            Step::Compute {
+                ns: at(1000.0),
+                domain: ExecDomain::User,
+            },
+            Step::Branch {
+                p: 0.25,
+                then: Arc::new(vec![Step::call(t(1), 8.0)]),
+                els: Arc::new(vec![
+                    Step::CacheLookup {
+                        cache: t(2),
+                        hit: 0.75,
+                        then: Arc::new(vec![Step::call(t(2), 8.0)]),
+                        els: Arc::new(vec![
+                            Step::call(t(2), 8.0),
+                            Step::ParCall {
+                                calls: vec![(t(3), at(16.0)), (t(4), at(32.0))],
+                            },
+                        ]),
+                    },
+                    Step::FanCall {
+                        target: t(5),
+                        req_bytes: at(8.0),
+                        n: at(4.0),
+                    },
+                ]),
+            },
+            Step::Io { ns: at(2000.0) },
+        ];
+        let kind = |s: &Step| match s {
+            Step::Compute { .. } => "compute",
+            Step::Io { .. } => "io",
+            Step::Call { .. } => "call",
+            Step::ParCall { .. } => "par",
+            Step::FanCall { .. } => "fan",
+            Step::Branch { .. } => "branch",
+            Step::CacheLookup { .. } => "cache",
+        };
+        let (mut visits, mut calls) = (Vec::new(), Vec::new());
+        Step::walk(&script, 1.0, &mut |s, w| {
+            visits.push((kind(s), w));
+            calls.extend(
+                s.calls()
+                    .map(|(t, bytes, par)| (t.endpoint, bytes.mean(), par)),
+            );
+        });
+        assert_eq!(
+            visits,
+            vec![
+                ("compute", 1.0),
+                ("branch", 1.0),
+                ("call", 0.25),
+                ("cache", 0.75),
+                ("call", 0.5625),
+                ("call", 0.1875),
+                ("par", 0.1875),
+                ("fan", 0.75),
+                ("io", 1.0),
+            ]
+        );
+
+        // Same nesting, same rounding as the hand-written expression.
+        let leaf = |s: &Step| match s {
+            Step::Compute { ns, .. } | Step::Io { ns } => ns.mean(),
+            Step::Call { .. } => 0.1,
+            Step::ParCall { .. } => 0.3,
+            _ => 0.7,
+        };
+        let hand: f64 = 1000.0
+            + (0.25 * 0.1 + (1.0 - 0.25) * ((0.75 * 0.1 + (1.0 - 0.75) * (0.1 + 0.3)) + 0.7))
+            + 2000.0;
+        assert_eq!(Step::mean(&script, &leaf).to_bits(), hand.to_bits());
+
+        // Only call steps list calls: no cache marker, no branch node.
+        assert_eq!(
+            calls,
+            vec![
+                (1, 8.0, false),
+                (2, 8.0, false),
+                (2, 8.0, false),
+                (3, 16.0, true),
+                (4, 32.0, true),
+                (5, 8.0, true),
+            ]
+        );
     }
 
     #[test]

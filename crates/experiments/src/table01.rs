@@ -15,18 +15,6 @@ use dsb_core::Step;
 use crate::report::Table;
 use crate::Scale;
 
-fn count_steps(steps: &[Step]) -> usize {
-    steps
-        .iter()
-        .map(|s| match s {
-            Step::Branch { then, els, .. } | Step::CacheLookup { then, els, .. } => {
-                1 + count_steps(then) + count_steps(els)
-            }
-            _ => 1,
-        })
-        .sum()
-}
-
 fn row(t: &mut Table, app: &BuiltApp, paper_services: u32) {
     let spec = &app.spec;
     let mut protocols = BTreeSet::new();
@@ -36,7 +24,7 @@ fn row(t: &mut Table, app: &BuiltApp, paper_services: u32) {
         protocols.insert(s.protocol.name());
         endpoints += s.endpoints.len();
         for e in &s.endpoints {
-            steps += count_steps(&e.script);
+            Step::walk(&e.script, 1.0, &mut |_, _| steps += 1);
         }
     }
     t.row_owned(vec![

@@ -45,7 +45,7 @@
 //!   must split load across shards within 4× of each other.
 
 use dsb_analyzer::{Analyzer, CapacityModel, Code, Severity};
-use dsb_core::{RequestType, ServiceId, Simulation};
+use dsb_core::{RequestType, ServiceId, Simulation, Step};
 use dsb_simcore::SimTime;
 use dsb_uarch::ExecDomain;
 
@@ -178,22 +178,11 @@ fn check_compute_conservation(g: &GenSpec, r: &DiffRun) -> Result<(), String> {
 }
 
 /// Mean user-domain compute nanoseconds per invocation, branch-weighted.
-fn user_demand_ns(steps: &[dsb_core::Step]) -> f64 {
-    use dsb_core::Step;
-    let mut total = 0.0;
-    for s in steps {
-        match s {
-            Step::Compute { ns, domain } if *domain == ExecDomain::User => total += ns.mean(),
-            Step::Branch { p, then, els } => {
-                total += p * user_demand_ns(then) + (1.0 - p) * user_demand_ns(els);
-            }
-            Step::CacheLookup { hit, then, els, .. } => {
-                total += hit * user_demand_ns(then) + (1.0 - hit) * user_demand_ns(els);
-            }
-            _ => {}
-        }
-    }
-    total
+fn user_demand_ns(steps: &[Step]) -> f64 {
+    Step::mean(steps, &|s| match s {
+        Step::Compute { ns, domain } if *domain == ExecDomain::User => ns.mean(),
+        _ => 0.0,
+    })
 }
 
 /// Static bottleneck utilization vs how long the run took to drain,

@@ -9,10 +9,17 @@
 //! ```text
 //! UPDATE_GOLDENS=1 cargo test --offline --test goldens
 //! ```
+//!
+//! The structure goldens pin the call graphs the scripts imply: each
+//! suite app's Graphviz export against its committed
+//! `figures/fig18_<app>.dot` (Fig. 18), and the Table 1 composition
+//! counts (edges, endpoints, script steps) against
+//! `tests/goldens/table01.txt`.
 
 mod common;
 
 use deathstarbench_sim::apps::{self, monolith, twotier, BuiltApp};
+use deathstarbench_sim::experiments::{table01, Scale};
 use dsb_testkit::golden;
 
 const SEED: u64 = 42;
@@ -71,4 +78,29 @@ fn golden_social_monolith() {
 #[test]
 fn golden_twotier() {
     check("twotier", &twotier::twotier(64, 1024), 200.0);
+}
+
+#[test]
+fn golden_fig18_dot_files() {
+    for app in [
+        apps::social::social_network(),
+        apps::media::media_service(),
+        apps::ecommerce::ecommerce(),
+        apps::banking::banking(),
+        apps::swarm::swarm(apps::swarm::SwarmVariant::Cloud),
+        apps::swarm::swarm(apps::swarm::SwarmVariant::Edge),
+    ] {
+        let path = format!(
+            "{}/figures/fig18_{}.dot",
+            env!("CARGO_MANIFEST_DIR"),
+            app.spec.name
+        );
+        golden::check(&path, &app.spec.to_dot());
+    }
+}
+
+#[test]
+fn golden_table01() {
+    let path = format!("{}/tests/goldens/table01.txt", env!("CARGO_MANIFEST_DIR"));
+    golden::check(&path, &table01::run(Scale::Quick));
 }

@@ -11,21 +11,6 @@ use deathstarbench_sim::apps;
 use dsb_core::{AppSpec, ClusterSpec, PlacementHint, PlacementPlan, ServiceId, Step};
 use dsb_gen::GenSpec;
 
-/// Collects every call target in `steps`, branch arms included.
-fn call_targets(steps: &[Step], out: &mut Vec<dsb_core::EndpointRef>) {
-    for s in steps {
-        match s {
-            Step::Call { target, .. } | Step::FanCall { target, .. } => out.push(*target),
-            Step::ParCall { calls } => out.extend(calls.iter().map(|(t, _)| *t)),
-            Step::Branch { then, els, .. } | Step::CacheLookup { then, els, .. } => {
-                call_targets(then, out);
-                call_targets(els, out);
-            }
-            Step::Compute { .. } | Step::Io { .. } => {}
-        }
-    }
-}
-
 /// Every machine hosting an instance of an IPC caller must also host an
 /// instance of the callee (so a same-host route always exists), and
 /// every `CoLocate(anchor)` instance `k` must share its machine with
@@ -58,7 +43,9 @@ fn assert_local_routes(tag: &str, spec: &AppSpec, cluster: &ClusterSpec) {
     for (i, svc) in spec.services.iter().enumerate() {
         let mut targets = Vec::new();
         for ep in &svc.endpoints {
-            call_targets(&ep.script, &mut targets);
+            Step::walk(&ep.script, 1.0, &mut |s, _| {
+                targets.extend(s.calls().map(|(t, _, _)| t));
+            });
         }
         targets.sort_unstable_by_key(|t| (t.service.0, t.endpoint));
         targets.dedup();
