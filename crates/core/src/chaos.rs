@@ -60,7 +60,12 @@ pub enum ChaosEvent {
     /// `[from, until)`. Requests crossing the cut fail back to the
     /// caller after `timeout` (clamped up to the cluster lookahead so
     /// the sharded engine stays conservative); responses crossing it
-    /// are delivered as failures after the same timeout.
+    /// are delivered as failures after the same timeout. The timeout
+    /// belongs to this partition's links: another partition's timeout
+    /// never applies to them. Only links between machines are cut;
+    /// injections and client replies always get through. Two
+    /// partitions over the same link share it last-writer-wins: the
+    /// later start sets its timeout, and the first end heals it.
     Partition {
         /// One side of the cut.
         a: Vec<MachineId>,
@@ -75,7 +80,10 @@ pub enum ChaosEvent {
     },
     /// Multiply the propagation delay of every message to or from the
     /// given machines by `factor` (≥ 1.0 — delays may only grow, which
-    /// keeps the DSB015 lookahead floor valid) for `[from, until)`.
+    /// keeps the DSB015 lookahead floor valid) for `[from, until)`:
+    /// machine-to-machine hops, client injections to the machines and
+    /// replies back to the client alike. A hop between two degraded
+    /// machines takes the larger factor.
     NicDegrade {
         /// Machines with the degraded NIC.
         machines: Vec<MachineId>,

@@ -35,7 +35,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use dsb_net::{Fabric, FpgaOffload, Nic, Protocol, Zone};
+use dsb_net::{Fabric, FpgaOffload, MsgCosts, Nic, Protocol, Zone};
 use dsb_simcore::{
     mix64, run_epochs, EpochShard, Outbox, Rng, Scheduler, SimDuration, SimTime, Transfer,
     UtilizationTracker,
@@ -98,11 +98,10 @@ pub enum InstanceState {
 
 const REF_FREQ_GHZ: f64 = 2.4;
 
-fn hash64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The home of partition key `key` among `n` instances: a stable
+/// function of the key over the service's *total* instance list.
+fn key_home(key: u64, n: usize) -> usize {
+    (mix64(key.wrapping_add(0x9E37_79B9_7F4A_7C15)) % n as u64) as usize
 }
 
 // ---------------------------------------------------------------------------
@@ -127,12 +126,12 @@ struct MachineMeta {
 #[derive(Debug)]
 struct NetChaos {
     n: usize,
-    /// `n × n` row-major: `cut[a*n + b]` fails traffic from machine `a`
-    /// to machine `b`.
-    cut: Vec<bool>,
-    /// Sender-side failure-detection timeout for cut traffic, clamped
-    /// to at least the cluster lookahead (DSB015 floor).
-    timeout_ns: u64,
+    /// `n × n` row-major: `cut[a*n + b]` is `Some(timeout_ns)` while a
+    /// partition fails traffic from machine `a` to machine `b`, with
+    /// that partition's sender-side failure-detection timeout (clamped
+    /// to at least the cluster lookahead, the DSB015 floor); `None`
+    /// while the link is up.
+    cut: Vec<Option<u64>>,
     /// Per-machine propagation-delay multiplier (1.0 = healthy). Only
     /// ever ≥ 1.0, so the lookahead bound stays conservative.
     degrade: Vec<f64>,
@@ -142,18 +141,38 @@ impl NetChaos {
     fn new(n: usize) -> Self {
         NetChaos {
             n,
-            cut: vec![false; n * n],
-            timeout_ns: 0,
+            cut: vec![None; n * n],
             degrade: vec![1.0; n],
         }
     }
 
-    fn is_cut(&self, a: usize, b: usize) -> bool {
-        self.cut[a * self.n + b]
+    /// The timeout of a cut link from shard `a` to shard `b`, or `None`
+    /// if the link is up. The client shard (index `n`) is never cut.
+    fn cut(&self, a: u16, b: u16) -> Option<u64> {
+        let (a, b) = (a as usize, b as usize);
+        if a < self.n && b < self.n {
+            self.cut[a * self.n + b]
+        } else {
+            None
+        }
     }
 
-    fn degrade_factor(&self, a: usize, b: usize) -> f64 {
-        self.degrade[a].max(self.degrade[b])
+    /// Sets both directions of every link between groups `a` and `b`.
+    fn set_cut(&mut self, a: &[MachineId], b: &[MachineId], timeout_ns: Option<u64>) {
+        for &x in a {
+            for &y in b {
+                let (x, y) = (x.0 as usize, y.0 as usize);
+                self.cut[x * self.n + y] = timeout_ns;
+                self.cut[y * self.n + x] = timeout_ns;
+            }
+        }
+    }
+
+    /// The delay multiplier of a hop between shards `a` and `b`: the
+    /// worse of the two ends' NICs. The client shard has no NIC here.
+    fn degrade_factor(&self, a: u16, b: u16) -> f64 {
+        let f = |s: u16| self.degrade.get(s as usize).copied().unwrap_or(1.0);
+        f(a).max(f(b))
     }
 }
 
@@ -168,9 +187,9 @@ struct InstMeta {
     worker_limit: Option<u32>,
 }
 
-#[derive(Debug)]
+/// Runtime routing state of a service; its spec is `app.services[i]`.
+#[derive(Debug, Default)]
 struct SharedServiceRt {
-    spec: crate::spec::ServiceSpec,
     instances: Vec<InstanceId>,
     pinned: Option<InstanceId>,
 }
@@ -224,8 +243,8 @@ impl SharedState {
         let nm = self.machines.len();
         self.sf_cache.clear();
         self.ref_ipc_cache.clear();
-        for rt in &self.services {
-            let p = &rt.spec.profile;
+        for svc in &self.app.services {
+            let p = &svc.profile;
             self.ref_ipc_cache.push(self.ref_core.ipc(p));
             for m in &self.machines {
                 self.sf_cache.push(m.core.speed_factor(p));
@@ -440,7 +459,7 @@ impl Message {
                     to_machine: c.machine,
                     from_inst: inst,
                     bytes: 1,
-                    protocol: sh.services[svc.0 as usize].spec.protocol,
+                    protocol: sh.app.service(svc).protocol,
                     failed: true,
                 })
             }
@@ -540,6 +559,33 @@ impl CoreJob {
                     remaining_actual: actual_ns - quantum,
                 },
             }
+        }
+    }
+
+    /// A network-processing job for `service` on a core `sf` times as
+    /// slow as the reference core: `kernel_ns` of kernel work (what FPGA
+    /// offload leaves on the host) and `libs_ns` of libs work, in
+    /// reference-core ns. The only constructor of kernel + libs jobs,
+    /// for both the send and the receive side; always inlined, like
+    /// [`CoreJob::compute_slice`].
+    #[inline(always)]
+    fn network(
+        service: ServiceId,
+        sf: f64,
+        kernel_ns: f64,
+        libs_ns: f64,
+        cont: JobCont,
+    ) -> CoreJob {
+        let kernel_act = kernel_ns * sf;
+        let libs_act = libs_ns * sf;
+        CoreJob {
+            dur: SimDuration::from_nanos((kernel_act + libs_act) as u64),
+            service,
+            splits: [
+                (ExecDomain::Kernel, kernel_ns, kernel_act),
+                (ExecDomain::Libs, libs_ns, libs_act),
+            ],
+            cont,
         }
     }
 }
@@ -735,15 +781,17 @@ impl ShardState {
         wheel.schedule_keyed(at, key, (self.shard, Ev::MsgArrive(idx)));
     }
 
-    /// Sends failure notice `msg` to arrive at `at`, under a key minted
-    /// here: filed in this shard's own wheel when it is addressed here,
-    /// else crossed to its destination shard.
-    fn post(&mut self, sh: &SharedState, sink: &mut Sink, at: SimTime, msg: Message) {
+    /// Sends `msg` to shard `dst`, arriving at `at`, under a key minted
+    /// here: filed in this shard's own wheel when `dst` is this shard,
+    /// else crossed to it. Every message a handler sends goes this way.
+    /// Always inlined, like [`ShardState::submit_job`], so the message
+    /// is not copied into a call frame on its way to its pool slot or
+    /// outbox.
+    #[inline(always)]
+    fn send_to(&mut self, sink: &mut Sink, dst: u16, at: SimTime, msg: Message) {
         let key = self.mint();
-        let dst = msg.dst_shard(sh);
         if dst == self.shard {
-            let idx = self.msg_pool.alloc(msg);
-            sink.local(at, key, Ev::MsgArrive(idx));
+            self.file_msg(sink.wheel, at.as_nanos(), key, msg);
         } else {
             sink.cross(dst, at.as_nanos(), key, msg);
         }
@@ -898,44 +946,47 @@ impl ShardState {
             .offload
             .apply(costs.send_kernel_ns);
         // Receiver-side FPGA pipeline delay is added here too (we know the
-        // destination), so delivery happens in a single hop.
-        let pipe_recv = match &msg {
-            Message::Request(rm) => {
-                let mach = sh.insts[rm.dst.0 as usize].machine;
-                sh.machines[mach.0 as usize]
-                    .offload
-                    .apply(costs.recv_kernel_ns)
-                    .1
-            }
-            Message::Response(resp) => {
-                sh.machines[resp.to_machine.0 as usize]
-                    .offload
-                    .apply(costs.recv_kernel_ns)
-                    .1
-            }
-            Message::ClientReply { .. } => 0.0,
+        // destination), so delivery happens in a single hop. The client
+        // shard has no machine, hence no FPGA.
+        let pipe_recv = sh
+            .machines
+            .get(msg.dst_shard(sh) as usize)
+            .map_or(0.0, |m| m.offload.apply(costs.recv_kernel_ns).1);
+        let cont = JobCont::SendDone {
+            msg,
+            bytes,
+            extra: SimDuration::from_nanos((pipe_send + pipe_recv) as u64),
+            charge,
         };
         let sf = sh.speed_factor(acct, from);
-        let kernel_act = host_kernel * sf;
-        let libs_act = costs.send_libs_ns * sf;
-        let dur = SimDuration::from_nanos((kernel_act + libs_act) as u64);
-        let job = CoreJob {
-            dur,
-            service: acct,
-            splits: [
-                (ExecDomain::Kernel, host_kernel, kernel_act),
-                (ExecDomain::Libs, costs.send_libs_ns, libs_act),
-            ],
-            cont: JobCont::SendDone {
-                msg,
-                bytes,
-                extra: SimDuration::from_nanos((pipe_send + pipe_recv) as u64),
-                charge,
-            },
-        };
+        let job = CoreJob::network(acct, sf, host_kernel, costs.send_libs_ns, cont);
         self.submit_job(sink, now, job);
     }
 
+    /// Queues receive-side processing of a message costing `costs` on
+    /// this shard's cores, charged to `service`; `cont` runs when it
+    /// finishes. Always inlined, like [`ShardState::submit_job`].
+    #[inline(always)]
+    fn submit_recv(
+        &mut self,
+        sh: &SharedState,
+        sink: &mut Sink,
+        now: SimTime,
+        service: ServiceId,
+        costs: MsgCosts,
+        cont: JobCont,
+    ) {
+        let (host_kernel, _pipe) = sh.machines[self.shard as usize]
+            .offload
+            .apply(costs.recv_kernel_ns);
+        let sf = sh.speed_factor(service, self.machine_id());
+        let job = CoreJob::network(service, sf, host_kernel, costs.recv_libs_ns, cont);
+        self.submit_job(sink, now, job);
+    }
+
+    /// Pushes `msg` through this machine's NIC and one hop to its
+    /// destination shard; returns the NIC queueing plus serialization
+    /// time.
     fn transmit(
         &mut self,
         sh: &SharedState,
@@ -951,76 +1002,59 @@ impl ShardState {
             .expect("send from a machine shard")
             .nic
             .transmit(now, bytes);
-        let from_zone = sh.machines[self.shard as usize].zone;
-        let dst_mach = match &msg {
-            Message::Request(rm) => Some(sh.insts[rm.dst.0 as usize].machine),
-            Message::Response(resp) => Some(resp.to_machine),
-            Message::ClientReply { .. } => None,
-        };
-        match dst_mach {
+        let sent = now + tx;
+        let dst = msg.dst_shard(sh);
+        let cut = sh.chaos_net.as_deref().and_then(|n| n.cut(self.shard, dst));
+        let prop = if dst == self.shard {
             // Same machine: shard-local delivery, loopback latency.
-            Some(dm) if dm.0 as u16 == self.shard => {
-                let prop = sh.fabric.loopback();
-                let key = self.mint();
-                let idx = self.msg_pool.alloc(msg);
-                sink.local(now + tx + prop + extra, key, Ev::MsgArrive(idx));
-            }
-            // Another machine's shard: fabric hop, cross-shard transfer.
-            Some(dm) => {
-                if let Some(net) = sh.chaos_net.as_deref() {
-                    if net.is_cut(self.shard as usize, dm.0 as usize) {
-                        self.drop_at_cut(sh, sink, now + tx, net.timeout_ns, msg);
-                        return tx;
-                    }
-                }
-                let z = sh.machines[dm.0 as usize].zone;
-                let mut prop = sh.fabric.delay(from_zone, z, &mut self.rng);
-                if let Some(net) = sh.chaos_net.as_deref() {
-                    let f = net.degrade_factor(self.shard as usize, dm.0 as usize);
-                    if f > 1.0 {
-                        // Delays only grow (factor ≥ 1.0), so the DSB015
-                        // lookahead floor below stays valid.
-                        prop = SimDuration::from_nanos((prop.as_nanos() as f64 * f) as u64);
-                    }
-                }
-                debug_assert!(
-                    prop.as_nanos() >= sh.lookahead_ns,
-                    "cross-shard hop {} below lookahead {}",
-                    prop.as_nanos(),
-                    sh.lookahead_ns
-                );
-                let key = self.mint();
-                let at = (now + tx + prop + extra).as_nanos();
-                sink.cross(dm.0 as u16, at, key, msg);
-            }
-            // Reply to the request's origin: the client shard owns it.
-            None => {
-                let mut prop = sh.fabric.delay(from_zone, Zone::Client, &mut self.rng);
-                if let Some(net) = sh.chaos_net.as_deref() {
-                    let f = net.degrade[self.shard as usize];
-                    if f > 1.0 {
-                        prop = SimDuration::from_nanos((prop.as_nanos() as f64 * f) as u64);
-                    }
-                }
-                debug_assert!(
-                    prop.as_nanos() >= sh.lookahead_ns,
-                    "client hop {} below lookahead {}",
-                    prop.as_nanos(),
-                    sh.lookahead_ns
-                );
-                let key = self.mint();
-                let at = (now + tx + prop + extra).as_nanos();
-                sink.cross(sh.client_shard(), at, key, msg);
-            }
-        }
+            sh.fabric.loopback()
+        } else if let Some(timeout_ns) = cut {
+            // Checked before the hop, so a cut message draws no delay.
+            self.drop_at_cut(sh, sink, sent, timeout_ns, msg);
+            return tx;
+        } else {
+            let prop = self.hop(sh, sh.machines[self.shard as usize].zone, dst);
+            debug_assert!(
+                prop.as_nanos() >= sh.lookahead_ns,
+                "cross-shard hop {} below lookahead {}",
+                prop.as_nanos(),
+                sh.lookahead_ns
+            );
+            prop
+        };
+        self.send_to(sink, dst, sent + prop + extra, msg);
         tx
     }
 
+    /// The propagation delay of one fabric hop from this shard, sitting
+    /// in `from_zone`, to shard `to`: the jittered zone-to-zone delay,
+    /// stretched by the worse NIC degradation of its two ends. The
+    /// client shard sits in [`Zone::Client`]. The only caller of
+    /// [`Fabric::delay`].
+    fn hop(&mut self, sh: &SharedState, from_zone: Zone, to: u16) -> SimDuration {
+        let to_zone = sh
+            .machines
+            .get(to as usize)
+            .map_or(Zone::Client, |m| m.zone);
+        let prop = sh.fabric.delay(from_zone, to_zone, &mut self.rng);
+        let f = sh
+            .chaos_net
+            .as_deref()
+            .map_or(1.0, |n| n.degrade_factor(self.shard, to));
+        if f > 1.0 {
+            // Delays only grow (factor ≥ 1.0), so the DSB015 lookahead
+            // floor stays valid.
+            SimDuration::from_nanos((prop.as_nanos() as f64 * f) as u64)
+        } else {
+            prop
+        }
+    }
+
     /// A message ran into a network cut. The sender's failure detector
-    /// fires after `timeout_ns` (clamped ≥ the lookahead floor at
-    /// install time): a cut request fails back to its caller on this
-    /// very shard, a cut response is delivered to the caller as a
-    /// failure after the same timeout.
+    /// fires after the cut link's `timeout_ns` (clamped ≥ the lookahead
+    /// floor when the partition starts): a cut request fails back to its
+    /// caller on this very shard, a cut response is delivered to the
+    /// caller as a failure after the same timeout.
     fn drop_at_cut(
         &mut self,
         sh: &SharedState,
@@ -1029,7 +1063,6 @@ impl ShardState {
         timeout_ns: u64,
         msg: Message,
     ) {
-        let at = sent + SimDuration::from_nanos(timeout_ns);
         let notice = match msg {
             Message::Request(rm) => {
                 if let Some(c) = rm.caller {
@@ -1048,7 +1081,8 @@ impl ShardState {
                 unreachable!("client replies never cross a machine cut")
             }
         };
-        self.post(sh, sink, at, notice);
+        let at = sent + SimDuration::from_nanos(timeout_ns);
+        self.send_to(sink, notice.dst_shard(sh), at, notice);
     }
 
     fn deliver(&mut self, sh: &SharedState, sink: &mut Sink, now: SimTime, msg: Message) {
@@ -1062,26 +1096,9 @@ impl ShardState {
                     self.post_failed(sh, sink, now, rm);
                     return;
                 }
-                let service = meta.service;
-                let protocol = sh.services[service.0 as usize].spec.protocol;
-                let costs = protocol.costs(rm.bytes);
-                let (host_kernel, _pipe) = sh.machines[self.shard as usize]
-                    .offload
-                    .apply(costs.recv_kernel_ns);
-                let sf = sh.speed_factor(service, meta.machine);
-                let kernel_act = host_kernel * sf;
-                let libs_act = costs.recv_libs_ns * sf;
-                let dur = SimDuration::from_nanos((kernel_act + libs_act) as u64);
-                let job = CoreJob {
-                    dur,
-                    service,
-                    splits: [
-                        (ExecDomain::Kernel, host_kernel, kernel_act),
-                        (ExecDomain::Libs, costs.recv_libs_ns, libs_act),
-                    ],
-                    cont: JobCont::RecvRequest(rm),
-                };
-                self.submit_job(sink, now, job);
+                let costs = sh.app.service(meta.service).protocol.costs(rm.bytes);
+                let cont = JobCont::RecvRequest(rm);
+                self.submit_recv(sh, sink, now, meta.service, costs, cont);
             }
             Message::Response(resp) => {
                 // The pick that sent this request was made on this shard;
@@ -1097,25 +1114,9 @@ impl ShardState {
                 let Some(inv) = self.invocations.get(resp.to_inv) else {
                     return;
                 };
-                let service = inv.service;
                 let costs = resp.protocol.costs(resp.bytes);
-                let (host_kernel, _pipe) = sh.machines[self.shard as usize]
-                    .offload
-                    .apply(costs.recv_kernel_ns);
-                let sf = sh.speed_factor(service, self.machine_id());
-                let kernel_act = host_kernel * sf;
-                let libs_act = costs.recv_libs_ns * sf;
-                let dur = SimDuration::from_nanos((kernel_act + libs_act) as u64);
-                let job = CoreJob {
-                    dur,
-                    service,
-                    splits: [
-                        (ExecDomain::Kernel, host_kernel, kernel_act),
-                        (ExecDomain::Libs, costs.recv_libs_ns, libs_act),
-                    ],
-                    cont: JobCont::RecvResponse(resp.to_inv),
-                };
-                self.submit_job(sink, now, job);
+                let cont = JobCont::RecvResponse(resp.to_inv);
+                self.submit_recv(sh, sink, now, inv.service, costs, cont);
             }
             Message::ClientReply {
                 rtype,
@@ -1142,9 +1143,9 @@ impl ShardState {
     /// dead host is touched; the notice travels after the conservative
     /// lookahead delay, identically at every worker count.
     fn post_failed(&mut self, sh: &SharedState, sink: &mut Sink, now: SimTime, rm: RequestMsg) {
-        let at = now + SimDuration::from_nanos(sh.lookahead_ns);
         let notice = Message::failure(sh, rm.caller, rm.dst, rm.rtype, rm.spawn);
-        self.post(sh, sink, at, notice);
+        let at = now + SimDuration::from_nanos(sh.lookahead_ns);
+        self.send_to(sink, notice.dst_shard(sh), at, notice);
     }
 
     fn enqueue_request(
@@ -1175,7 +1176,7 @@ impl ShardState {
             on_demand && rt.warm_free == 0
         };
         if needs_spawn {
-            let cold = match &sh.services[meta.service.0 as usize].spec.workers {
+            let cold = match &sh.app.service(meta.service).workers {
                 WorkerPolicy::OnDemand { cold_start_ns } => cold_start_ns.sample(&mut self.rng),
                 WorkerPolicy::Fixed(_) => 0.0,
             };
@@ -1231,7 +1232,7 @@ impl ShardState {
         p: PendingReq,
     ) {
         let service = sh.insts[inst_id.0 as usize].service;
-        let script = sh.services[service.0 as usize].spec.endpoints[p.msg.endpoint as usize]
+        let script = sh.app.service(service).endpoints[p.msg.endpoint as usize]
             .script
             .clone();
         let span = self.mint_span();
@@ -1322,8 +1323,9 @@ impl ShardState {
                     let bytes = req_bytes.sample(&mut self.rng).max(1.0) as u64;
                     self.invocations.get_mut(key).expect("live inv").outstanding = 1;
                     self.maybe_release_worker(sh, sink, now, key);
-                    let blocking = sh.services[target.service.0 as usize]
-                        .spec
+                    let blocking = sh
+                        .app
+                        .service(target.service)
                         .protocol
                         .blocking_connections();
                     if blocking {
@@ -1396,7 +1398,7 @@ impl ShardState {
                                 .get(key)
                                 .expect("advancing live inv")
                                 .partition_key;
-                            let home = insts[(hash64(pk) % insts.len() as u64) as usize];
+                            let home = insts[key_home(pk, insts.len())];
                             sh.insts[home.0 as usize].state == InstanceState::Down
                                 || now.as_nanos() < sh.chaos_cold[home.0 as usize]
                         }
@@ -1448,7 +1450,7 @@ impl ShardState {
             let inv = self.invocations.get(key).expect("live inv");
             (inv.service, inv.worker_held, inv.instance)
         };
-        if held && sh.services[service.0 as usize].spec.concurrency == Concurrency::Async {
+        if held && sh.app.service(service).concurrency == Concurrency::Async {
             self.invocations.get_mut(key).expect("live").worker_held = false;
             self.release_worker(sh, inst_id);
             self.try_dispatch(sh, sink, now, inst_id);
@@ -1473,7 +1475,7 @@ impl ShardState {
         bytes: u64,
     ) {
         let inst_id = self.invocations.get(key).expect("live inv").instance;
-        let limit = sh.services[target.service.0 as usize].spec.conn_limit;
+        let limit = sh.app.service(target.service).conn_limit;
         let granted = {
             let rt = &mut self.insts[inst_id.0 as usize];
             let pool = rt.conns.entry(target.service).or_insert_with(|| ConnPool {
@@ -1525,7 +1527,7 @@ impl ShardState {
             self.on_response(sh, sink, now, key, true);
             return;
         };
-        let protocol = sh.services[target.service.0 as usize].spec.protocol;
+        let protocol = sh.app.service(target.service).protocol;
         let msg = Message::Request(RequestMsg {
             req,
             rtype,
@@ -1570,7 +1572,7 @@ impl ShardState {
             if up_count == 0 {
                 return None;
             }
-            match rt.spec.lb {
+            match sh.app.service(service).lb {
                 LbPolicy::RoundRobin => {
                     let r = &mut self.rr[service.0 as usize];
                     *r = r.wrapping_add(1);
@@ -1596,7 +1598,7 @@ impl ShardState {
                     // rotation. A key whose home shard is down fails over by
                     // probing forward, so only that shard's keys move.
                     let all = &rt.instances;
-                    let start = (hash64(partition_key) % all.len() as u64) as usize;
+                    let start = key_home(partition_key, all.len());
                     (0..all.len())
                         .map(|off| all[(start + off) % all.len()])
                         .find(|i| sh.insts[i.0 as usize].state == InstanceState::Up)
@@ -1718,7 +1720,7 @@ impl ShardState {
         self.insts[inv.instance.0 as usize].inflight -= 1;
         self.try_dispatch(sh, sink, now, inv.instance);
         // Reply.
-        let spec = &sh.services[inv.service.0 as usize].spec;
+        let spec = sh.app.service(inv.service);
         let resp_bytes = spec.endpoints[inv.endpoint as usize]
             .resp_bytes
             .sample(&mut self.rng)
@@ -1768,14 +1770,6 @@ impl ShardState {
             self.request_stats_mut(sh, r.rtype).fail(now);
             return;
         };
-        let dst_mach = sh.insts[dst.0 as usize].machine;
-        let dst_zone = sh.machines[dst_mach.0 as usize].zone;
-        let delay = sh.fabric.delay(r.origin, dst_zone, &mut self.rng);
-        // Exotic origins (e.g. a Rack zone) could undercut the lookahead
-        // bound; clamp the arrival. Identical at every worker count, and a
-        // no-op for the standard Client/Edge origins.
-        let at = (now + delay).max(now + SimDuration::from_nanos(sh.lookahead_ns));
-        let key = self.mint();
         let msg = Message::Request(RequestMsg {
             req,
             rtype: r.rtype,
@@ -1788,7 +1782,13 @@ impl ShardState {
             partition_key: r.partition_key,
             spawn: now,
         });
-        sink.cross(dst_mach.0 as u16, at.as_nanos(), key, msg);
+        let to = msg.dst_shard(sh);
+        let delay = self.hop(sh, r.origin, to);
+        // Exotic origins (e.g. a Rack zone) could undercut the lookahead
+        // bound; clamp the arrival. Identical at every worker count, and a
+        // no-op for the standard Client/Edge origins.
+        let at = (now + delay).max(now + SimDuration::from_nanos(sh.lookahead_ns));
+        self.send_to(sink, to, at, msg);
     }
 }
 
@@ -1903,6 +1903,15 @@ impl EpochShard<SharedState> for Lane<'_> {
 // Façade
 // ---------------------------------------------------------------------------
 
+/// What one run boundary applies, in this order.
+#[derive(Debug, Default)]
+struct Boundary {
+    /// Started instances that join rotation.
+    activate: Vec<InstanceId>,
+    /// Actions of the installed [`ChaosPlan`].
+    chaos: Vec<ChaosAction>,
+}
+
 /// A complete simulation: sharded cluster state plus the control surface
 /// the paper's experiments drive.
 ///
@@ -1934,18 +1943,13 @@ pub struct Simulation {
     workers: usize,
     /// Events processed by lane wheels that `set_workers` replaced.
     retired_events: u64,
-    /// Pending instance-up transitions: activation time → instances.
-    /// Applied between event runs, so shard handlers see instance
-    /// states change only at run boundaries (identically at every
-    /// worker count).
-    control: BTreeMap<u64, Vec<InstanceId>>,
+    /// Pending run boundaries by time. Applied between event runs, so
+    /// shard handlers see instance states and fault state change only
+    /// at quiesced instants — identically at every worker count.
+    boundaries: BTreeMap<u64, Boundary>,
     /// Floor of [`Simulation::now`]: the latest applied run boundary,
     /// or the clock when `set_workers` last replaced the lane wheels.
     clock_floor: u64,
-    /// Pending chaos actions from an installed [`ChaosPlan`], applied at
-    /// run boundaries exactly like `control` — the placement that makes
-    /// fault injection byte-identical across worker counts.
-    chaos: BTreeMap<u64, Vec<ChaosAction>>,
     /// The installed plan, kept as ground truth for detection scorers.
     chaos_plan: Option<ChaosPlan>,
     placer: crate::placement::Placer,
@@ -1980,20 +1984,10 @@ impl Simulation {
             .collect();
         let fabric = Fabric::new(cluster.fabric);
         let lookahead_ns = cluster_lookahead(&fabric, &machines);
-        let services: Vec<SharedServiceRt> = app
-            .services
-            .iter()
-            .cloned()
-            .map(|spec| SharedServiceRt {
-                spec,
-                instances: Vec::new(),
-                pinned: None,
-            })
-            .collect();
-        let nsvc = services.len();
+        let nsvc = app.services.len();
         let mut shared = SharedState {
             app,
-            services,
+            services: (0..nsvc).map(|_| SharedServiceRt::default()).collect(),
             insts: Vec::new(),
             machines,
             fabric,
@@ -2050,9 +2044,8 @@ impl Simulation {
             lanes: lane_wheels(1),
             workers: 1,
             retired_events: 0,
-            control: BTreeMap::new(),
+            boundaries: BTreeMap::new(),
             clock_floor: 0,
-            chaos: BTreeMap::new(),
             chaos_plan: None,
             placer,
             instance_startup: cluster.instance_startup,
@@ -2061,7 +2054,7 @@ impl Simulation {
             merged_events: 0,
         };
         for sid in 0..nsvc {
-            for _ in 0..sim.shared.services[sid].spec.initial_instances {
+            for _ in 0..sim.shared.app.services[sid].initial_instances {
                 sim.spawn_instance(ServiceId(sid as u32), InstanceState::Up);
             }
         }
@@ -2069,10 +2062,8 @@ impl Simulation {
     }
 
     fn spawn_instance(&mut self, service: ServiceId, state: InstanceState) -> InstanceId {
-        let machine = self
-            .placer
-            .place(service, &self.shared.services[service.0 as usize].spec);
-        let worker_limit = match &self.shared.services[service.0 as usize].spec.workers {
+        let machine = self.placer.place(service, self.shared.app.service(service));
+        let worker_limit = match &self.shared.app.service(service).workers {
             WorkerPolicy::Fixed(n) => Some(*n),
             WorkerPolicy::OnDemand { .. } => None,
         };
@@ -2116,32 +2107,6 @@ impl Simulation {
         run_epochs(&self.shared, &mut lanes, self.shared.lookahead_ns, until_ns);
     }
 
-    fn apply_control(&mut self, tc: u64) {
-        if let Some(insts) = self.control.remove(&tc) {
-            for id in insts {
-                let m = &mut self.shared.insts[id.0 as usize];
-                if m.state == InstanceState::Starting {
-                    m.state = InstanceState::Up;
-                }
-            }
-            self.clock_floor = self.clock_floor.max(tc);
-        }
-    }
-
-    /// The earliest pending run boundary: instance activations and chaos
-    /// actions both pause the event run and apply at a quiesced instant.
-    fn next_boundary(&self) -> Option<u64> {
-        match (
-            self.control.keys().next().copied(),
-            self.chaos.keys().next().copied(),
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        }
-    }
-
     // -- Chaos surface -------------------------------------------------------
 
     /// Installs a fault-injection plan: its expanded schedule is applied
@@ -2151,13 +2116,10 @@ impl Simulation {
     /// epoch engine stays conservative (the DSB015 floor). The plan is
     /// retained as ground truth, exposed via [`Simulation::chaos_plan`].
     pub fn install_chaos(&mut self, plan: &ChaosPlan) {
-        for (t, mut a) in plan.schedule() {
-            if let ChaosAction::StartPartition { timeout, .. } = &mut a {
-                *timeout =
-                    SimDuration::from_nanos(timeout.as_nanos().max(self.shared.lookahead_ns));
-            }
+        for (t, action) in plan.schedule() {
             // Boundary 0 would precede the first event run; shift to 1.
-            self.chaos.entry(t.as_nanos().max(1)).or_default().push(a);
+            let at = t.as_nanos().max(1);
+            self.boundaries.entry(at).or_default().chaos.push(action);
         }
         self.chaos_plan = Some(plan.clone());
     }
@@ -2167,12 +2129,17 @@ impl Simulation {
         self.chaos_plan.as_ref()
     }
 
-    fn apply_chaos(&mut self, tc: u64) {
-        let Some(actions) = self.chaos.remove(&tc) else {
-            return;
-        };
-        for a in actions {
-            match a {
+    /// Applies run boundary `tc`: its instance activations, then its
+    /// chaos actions.
+    fn apply_boundary(&mut self, tc: u64, boundary: Boundary) {
+        for id in boundary.activate {
+            let m = &mut self.shared.insts[id.0 as usize];
+            if m.state == InstanceState::Starting {
+                m.state = InstanceState::Up;
+            }
+        }
+        for action in boundary.chaos {
+            match action {
                 ChaosAction::CrashMachine { machine } => self.crash_machine(machine, tc),
                 ChaosAction::RestartMachine { machine, cold_for } => {
                     self.restart_machine(machine, tc, cold_for)
@@ -2193,26 +2160,9 @@ impl Simulation {
                 }
                 ChaosAction::StartPartition { a, b, timeout } => {
                     let timeout_ns = timeout.as_nanos().max(self.shared.lookahead_ns);
-                    let net = self.net_chaos();
-                    net.timeout_ns = timeout_ns;
-                    let n = net.n;
-                    for &x in &a {
-                        for &y in &b {
-                            net.cut[x.0 as usize * n + y.0 as usize] = true;
-                            net.cut[y.0 as usize * n + x.0 as usize] = true;
-                        }
-                    }
+                    self.net_chaos().set_cut(&a, &b, Some(timeout_ns));
                 }
-                ChaosAction::EndPartition { a, b } => {
-                    let net = self.net_chaos();
-                    let n = net.n;
-                    for &x in &a {
-                        for &y in &b {
-                            net.cut[x.0 as usize * n + y.0 as usize] = false;
-                            net.cut[y.0 as usize * n + x.0 as usize] = false;
-                        }
-                    }
-                }
+                ChaosAction::EndPartition { a, b } => self.net_chaos().set_cut(&a, &b, None),
                 ChaosAction::StartDegrade { machines, factor } => {
                     let net = self.net_chaos();
                     for m in machines {
@@ -2270,13 +2220,9 @@ impl Simulation {
             return;
         }
         self.shared.machines[m.0 as usize].down = false;
-        let cold_until = tc.saturating_add(cold_for.as_nanos());
         for i in 0..self.shared.insts.len() {
-            let meta = &mut self.shared.insts[i];
-            if meta.machine == m && meta.state == InstanceState::Down {
-                meta.state = InstanceState::Up;
-                self.shared.chaos_cold[i] = cold_until;
-                self.reset_inst_rt(m.0 as usize, InstanceId(i as u32));
+            if self.shared.insts[i].machine == m {
+                self.restore_instance(InstanceId(i as u32), tc, cold_for);
             }
         }
     }
@@ -2382,26 +2328,17 @@ impl Simulation {
 
     /// Runs until all pending events (including in-flight requests) drain.
     pub fn run_until_idle(&mut self) {
-        while let Some(tc) = self.next_boundary() {
-            self.run_events(tc.saturating_sub(1));
-            self.apply_control(tc);
-            self.apply_chaos(tc);
-        }
-        self.run_events(u64::MAX);
-        self.refresh_merged();
+        self.advance_to(SimTime::MAX);
     }
 
     /// Runs the simulation up to the given virtual time, then returns so a
     /// controller (autoscaler, workload generator) can act.
     pub fn advance_to(&mut self, t: SimTime) {
         let t_ns = t.as_nanos();
-        while let Some(tc) = self.next_boundary() {
-            if tc > t_ns {
-                break;
-            }
+        while let Some(next) = self.boundaries.first_entry().filter(|e| *e.key() <= t_ns) {
+            let (tc, boundary) = next.remove_entry();
             self.run_events(tc.saturating_sub(1));
-            self.apply_control(tc);
-            self.apply_chaos(tc);
+            self.apply_boundary(tc, boundary);
         }
         self.run_events(t_ns);
         self.refresh_merged();
@@ -2682,9 +2619,9 @@ impl Simulation {
             return 0;
         };
         let mut edges = 0;
-        for a in 0..net.n {
-            for b in (a + 1)..net.n {
-                if net.is_cut(a, b) {
+        for a in 0..net.n as u16 {
+            for b in (a + 1)..net.n as u16 {
+                if net.cut(a, b).is_some() {
                     edges += 1;
                 }
             }
@@ -2712,7 +2649,7 @@ impl Simulation {
             .now()
             .as_nanos()
             .saturating_add(self.instance_startup.as_nanos());
-        self.control.entry(at).or_default().push(id);
+        self.boundaries.entry(at).or_default().activate.push(id);
         id
     }
 
@@ -2777,12 +2714,6 @@ impl Simulation {
         self.shared.admit_prob = prob.clamp(0.0, 1.0);
     }
 
-    /// Changes the load-balancing policy of a service at runtime (e.g.
-    /// to model sticky sessions / per-user data affinity).
-    pub fn set_lb_policy(&mut self, service: ServiceId, lb: LbPolicy) {
-        self.shared.services[service.0 as usize].spec.lb = lb;
-    }
-
     /// The machine the placement layer assigned to an instance.
     pub fn instance_machine(&self, inst: InstanceId) -> MachineId {
         self.shared.insts[inst.0 as usize].machine
@@ -2791,6 +2722,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosEvent;
     use crate::spec::AppBuilder;
     use dsb_simcore::Dist;
 
@@ -3564,6 +3496,126 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// An event-driven service with one 5 µs step.
+    fn one_tier() -> (AppSpec, EndpointRef) {
+        let mut app = AppBuilder::new("one");
+        let svc = app.service("svc").event_driven().build();
+        let ep = app.endpoint(svc, "op", Dist::constant(256.0), vec![Step::work_us(5.0)]);
+        (app.build(), ep)
+    }
+
+    /// Runs one request into `ep`, injected at 10 ms under `faults`
+    /// (built from the simulation, whose placement they name), up to
+    /// `until`. Seed 1.
+    fn one_request(
+        app: &AppSpec,
+        ep: EndpointRef,
+        cluster: &ClusterSpec,
+        workers: usize,
+        faults: impl FnOnce(&Simulation) -> Vec<ChaosEvent>,
+        until: SimTime,
+    ) -> RequestStats {
+        let mut sim = Simulation::new(app.clone(), cluster.clone(), 1);
+        sim.set_workers(workers);
+        let events = faults(&sim);
+        sim.install_chaos(&ChaosPlan { seed: 1, events });
+        sim.inject(SimTime::from_millis(10), ep, RequestType(0), 64, 1);
+        sim.advance_to(until);
+        sim.request_stats(RequestType(0)).unwrap().clone()
+    }
+
+    /// A partition of `a` from `b` over `[ms[0], ms[1])` milliseconds.
+    fn cut(a: Vec<MachineId>, b: Vec<MachineId>, ms: [u64; 2], timeout_ms: u64) -> ChaosEvent {
+        ChaosEvent::Partition {
+            a,
+            b,
+            from: SimTime::from_millis(ms[0]),
+            until: SimTime::from_millis(ms[1]),
+            timeout: SimDuration::from_millis(timeout_ms),
+        }
+    }
+
+    /// A partition's failure-detection timeout belongs to its own links:
+    /// a later cut elsewhere, with a longer timeout and already healed,
+    /// does not delay the failure of a request across the first cut.
+    #[test]
+    fn each_partition_keeps_its_own_timeout() {
+        let mut app = AppBuilder::new("front-back");
+        let back = app.service("back").build();
+        let get = app.endpoint(back, "get", Dist::constant(64.0), vec![Step::work_us(5.0)]);
+        let front = app.service("front").event_driven().build();
+        let root = app.endpoint(
+            front,
+            "root",
+            Dist::constant(64.0),
+            vec![Step::call(get, 64.0)],
+        );
+        let app = app.build();
+        let cluster = ClusterSpec::xeon_cluster(4, 1);
+        let until = SimTime::from_millis(50);
+        for workers in [1, 4] {
+            let faults = |sim: &Simulation| {
+                let f = sim.instance_machine(sim.instances_of(front)[0]);
+                let b = sim.instance_machine(sim.instances_of(back)[0]);
+                assert_ne!(f, b, "front and back must sit on different machines");
+                let rest: Vec<MachineId> = (0..4)
+                    .map(MachineId)
+                    .filter(|m| ![f, b].contains(m))
+                    .collect();
+                vec![
+                    cut(vec![f], vec![b], [1, 1000], 10),
+                    cut(vec![rest[0]], vec![rest[1]], [2, 3], 500),
+                ]
+            };
+            let st = one_request(&app, root, &cluster, workers, faults, until);
+            assert_eq!((st.completed, st.failed), (0, 1), "workers={workers}");
+        }
+    }
+
+    /// NIC degradation stretches every hop to or from the degraded
+    /// machine: the client's injection hop as well as the reply.
+    #[test]
+    fn nic_degrade_stretches_the_injection_and_reply_hops() {
+        let (app, ep) = one_tier();
+        let mut cluster = ClusterSpec::xeon_cluster(4, 1);
+        // Without jitter every client hop takes exactly `client_ns`.
+        cluster.fabric.jitter_frac = 0.0;
+        let latency = |factor: f64| {
+            let faults = |sim: &Simulation| {
+                let m = sim.instance_machine(sim.instances_of(ep.service)[0]);
+                vec![ChaosEvent::NicDegrade {
+                    machines: vec![m],
+                    factor,
+                    from: SimTime::from_millis(1),
+                    until: SimTime::from_millis(1000),
+                }]
+            };
+            let st = one_request(&app, ep, &cluster, 1, faults, SimTime::MAX);
+            assert_eq!(st.completed, 1);
+            st.latency.max()
+        };
+        let stretch = latency(10.0) - latency(1.0);
+        assert_eq!(stretch, 2 * 9 * cluster.fabric.client_ns, "both hops ×10");
+    }
+
+    /// Partitions cut links between machines only: with every machine
+    /// cut from every other, client traffic still flows at its healthy
+    /// latency.
+    #[test]
+    fn client_traffic_is_never_cut() {
+        let (app, ep) = one_tier();
+        let cluster = ClusterSpec::xeon_cluster(4, 1);
+        let healthy = one_request(&app, ep, &cluster, 1, |_| vec![], SimTime::MAX);
+        assert_eq!(healthy.completed, 1);
+        let all: Vec<MachineId> = (0..4).map(MachineId).collect();
+        for workers in [1, 4] {
+            let faults = |_: &Simulation| vec![cut(all.clone(), all.clone(), [1, 1000], 10)];
+            let st = one_request(&app, ep, &cluster, workers, faults, SimTime::MAX);
+            assert_eq!((st.completed, st.failed), (1, 0), "workers={workers}");
+            assert_eq!(st.latency.max(), healthy.latency.max(), "workers={workers}");
         }
     }
 

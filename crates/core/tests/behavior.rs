@@ -142,10 +142,9 @@ fn spans_record_queue_time_when_workers_are_busy() {
 }
 
 #[test]
-fn runtime_lb_policy_switch_takes_effect() {
-    let (spec, ep, svc) = one_service(4, 4, LbPolicy::RoundRobin, Concurrency::Blocking, 100.0);
+fn partition_lb_serializes_a_hot_key() {
+    let (spec, ep, _svc) = one_service(4, 4, LbPolicy::Partition, Concurrency::Blocking, 100.0);
     let mut sim = Simulation::new(spec, cluster(4), 6);
-    sim.set_lb_policy(svc, LbPolicy::Partition);
     // All requests share a key: with Partition they serialize on one
     // instance's 4 workers even though 16 workers exist.
     for i in 0..40u64 {
