@@ -121,7 +121,7 @@ if [ "$lint_wall" -gt "$LINT_BUDGET_S" ]; then
     exit 1
 fi
 
-echo "==> engine self-checks: dsb-simcore + dsb-core tests and the chaos suite with debug assertions and overflow checks (outside the budget)"
+echo "==> engine self-checks: dsb-simcore + dsb-core tests, the chaos suite and parallel conformance with debug assertions and overflow checks (outside the budget)"
 # Every other step builds --release, where debug_assert! and integer
 # overflow checks compile out, so the engine's own invariants (wheel
 # order, lookahead floor, slot liveness) would never run. Same release
@@ -129,7 +129,9 @@ echo "==> engine self-checks: dsb-simcore + dsb-core tests and the chaos suite w
 # the plain release artifacts above are not rebuilt. The chaos suite
 # (tests/chaos.rs) drives all five fault kinds, so the fault paths'
 # assertions (the hop's lookahead floor, a cut request leaving from its
-# caller's shard) run too. About 60 s cold.
+# caller's shard) run too. The conformance suite runs the epoch
+# driver's and the wheel's assertions under the real model at 2, 3, 4
+# and 8 threads. About 90 s cold.
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
     CARGO_TARGET_DIR=target/checked \
@@ -137,7 +139,7 @@ CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
     CARGO_TARGET_DIR=target/checked \
-    cargo test -q --release --offline --test chaos
+    cargo test -q --release --offline --test chaos --test parallel_conformance
 
 echo "==> perfsuite: cargo test + fmt --check (own package, outside the budget)"
 # perfsuite/ is a standalone package the workspace does not build, so a

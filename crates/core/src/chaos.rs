@@ -61,11 +61,13 @@ pub enum ChaosEvent {
     /// caller after `timeout` (clamped up to the cluster lookahead so
     /// the sharded engine stays conservative); responses crossing it
     /// are delivered as failures after the same timeout. The timeout
-    /// belongs to this partition's links: another partition's timeout
-    /// never applies to them. Only links between machines are cut;
-    /// injections and client replies always get through. Two
-    /// partitions over the same link share it last-writer-wins: the
-    /// later start sets its timeout, and the first end heals it.
+    /// belongs to this partition's links: a partition that does not
+    /// cut a link never sets its timeout. Only links between machines
+    /// are cut; injections and client replies always get through.
+    /// Partitions compose: a link stays cut while any active partition
+    /// cuts it, and a message crossing it fails after the smallest
+    /// timeout among those partitions. Each partition heals only its
+    /// own cut at `until`.
     Partition {
         /// One side of the cut.
         a: Vec<MachineId>,
@@ -83,7 +85,8 @@ pub enum ChaosEvent {
     /// keeps the DSB015 lookahead floor valid) for `[from, until)`:
     /// machine-to-machine hops, client injections to the machines and
     /// replies back to the client alike. A hop between two degraded
-    /// machines takes the larger factor.
+    /// machines takes the larger factor, and so does a machine under
+    /// two overlapping degradations; each ends only its own at `until`.
     NicDegrade {
         /// Machines with the degraded NIC.
         machines: Vec<MachineId>,
@@ -215,7 +218,17 @@ impl ChaosPlan {
     /// sorted by time (stable: ties keep event order). Pure function of
     /// the plan — the simulator and the scorer both rely on that.
     pub fn schedule(&self) -> Vec<(SimTime, ChaosAction)> {
-        let mut out: Vec<(SimTime, ChaosAction)> = Vec::new();
+        self.tagged_schedule()
+            .into_iter()
+            .map(|(t, _, action)| (t, action))
+            .collect()
+    }
+
+    /// [`ChaosPlan::schedule`] with each action tagged by the index of
+    /// the event it comes from, so an end action can find the one fault
+    /// its own start began.
+    pub(crate) fn tagged_schedule(&self) -> Vec<(SimTime, usize, ChaosAction)> {
+        let mut out: Vec<(SimTime, usize, ChaosAction)> = Vec::new();
         for (i, ev) in self.events.iter().enumerate() {
             match ev {
                 ChaosEvent::MachineCrash {
@@ -224,9 +237,10 @@ impl ChaosPlan {
                     restart_after,
                     cold_for,
                 } => {
-                    out.push((*at, ChaosAction::CrashMachine { machine: *machine }));
+                    out.push((*at, i, ChaosAction::CrashMachine { machine: *machine }));
                     out.push((
                         *at + *restart_after,
+                        i,
                         ChaosAction::RestartMachine {
                             machine: *machine,
                             cold_for: *cold_for,
@@ -242,6 +256,7 @@ impl ChaosPlan {
                 } => {
                     out.push((
                         *at,
+                        i,
                         ChaosAction::CrashShard {
                             service: *service,
                             shard: *shard,
@@ -249,6 +264,7 @@ impl ChaosPlan {
                     ));
                     out.push((
                         *at + *restart_after,
+                        i,
                         ChaosAction::RestoreShard {
                             service: *service,
                             shard: *shard,
@@ -265,6 +281,7 @@ impl ChaosPlan {
                 } => {
                     out.push((
                         *from,
+                        i,
                         ChaosAction::StartPartition {
                             a: a.clone(),
                             b: b.clone(),
@@ -273,6 +290,7 @@ impl ChaosPlan {
                     ));
                     out.push((
                         *until,
+                        i,
                         ChaosAction::EndPartition {
                             a: a.clone(),
                             b: b.clone(),
@@ -287,6 +305,7 @@ impl ChaosPlan {
                 } => {
                     out.push((
                         *from,
+                        i,
                         ChaosAction::StartDegrade {
                             machines: machines.clone(),
                             factor: factor.max(1.0),
@@ -294,6 +313,7 @@ impl ChaosPlan {
                     ));
                     out.push((
                         *until,
+                        i,
                         ChaosAction::EndDegrade {
                             machines: machines.clone(),
                         },
@@ -314,9 +334,10 @@ impl ChaosPlan {
                     let mut t = *from;
                     while t < *until {
                         let m = machines[rng.index(machines.len())];
-                        out.push((t, ChaosAction::CrashMachine { machine: m }));
+                        out.push((t, i, ChaosAction::CrashMachine { machine: m }));
                         out.push((
                             t + *down_for,
+                            i,
                             ChaosAction::RestartMachine {
                                 machine: m,
                                 cold_for: *cold_for,
@@ -327,7 +348,7 @@ impl ChaosPlan {
                 }
             }
         }
-        out.sort_by_key(|(t, _)| *t);
+        out.sort_by_key(|(t, _, _)| *t);
         out
     }
 

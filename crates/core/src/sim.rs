@@ -10,19 +10,20 @@
 //! [`SharedState`]); anything destined for another shard travels as a
 //! [`Message`] with a pre-minted `(time, key)` identity.
 //!
-//! One engine executes that state. A *lane* is the set of shards one
-//! worker thread owns — shard `s` belongs to lane `s % W` of `W` — and
-//! keeps all their events in a single timing wheel of `(shard, Ev)`
-//! pairs, popped in `(time, key)` order. A handler's message to another
-//! shard of its own lane goes straight into that wheel once the handler
-//! returns; a message to another lane waits in the epoch outbox.
-//! [`dsb_simcore::run_epochs`] drives the lanes. At `W = 1` (the
-//! default) the one lane runs straight to the horizon with no barriers
-//! and no threads: the serial path `dsb-bench` measures. At `W ≥ 2`
-//! each lane gets a thread, and lanes advance in conservative lookahead
-//! windows of `lookahead_ns` (the minimum cross-shard fabric latency),
-//! exchanging cross-lane messages as `(time, key)`-sorted batches at
-//! epoch barriers.
+//! One engine executes that state. A *lane* is a set of shards whose
+//! events share a single timing wheel of `(shard, Ev)` pairs, popped in
+//! `(time, key)` order. A handler's message to another shard of its own
+//! lane goes straight into that wheel once the handler returns; a
+//! message to another lane waits in the epoch outbox.
+//! [`dsb_simcore::run_epochs`] drives the lanes. At `W = 1` worker (the
+//! default) one lane holds every shard and runs straight to the horizon
+//! with no barriers and no threads: the serial path `dsb-bench`
+//! measures. At `W ≥ 2` every shard is a lane of its own, and the lanes
+//! advance in conservative lookahead windows of `lookahead_ns` (the
+//! minimum cross-shard fabric latency), exchanging cross-lane messages
+//! as `(time, key)`-sorted batches at epoch barriers. In each window
+//! the `W` worker threads claim lanes until none is left, so a thread
+//! that drew a light lane takes another instead of waiting for a peer.
 //!
 //! Determinism across worker counts rests on one invariant: **every**
 //! event's tie-break key is minted from its shard's own counter —
@@ -120,21 +121,40 @@ struct MachineMeta {
 }
 
 /// Network fault state installed by a [`crate::ChaosPlan`]: partition
-/// cuts between machine pairs and per-machine NIC delay multipliers.
-/// Lives in [`SharedState`] (read-only during event runs, mutated only
-/// at chaos boundaries) so every lane observes identical fault state.
+/// cuts between machine pairs and per-machine NIC delay multipliers,
+/// folded from the active network faults. Lives in [`SharedState`]
+/// (read-only during event runs, mutated only at chaos boundaries) so
+/// every lane observes identical fault state.
 #[derive(Debug)]
 struct NetChaos {
     n: usize,
-    /// `n × n` row-major: `cut[a*n + b]` is `Some(timeout_ns)` while a
-    /// partition fails traffic from machine `a` to machine `b`, with
-    /// that partition's sender-side failure-detection timeout (clamped
-    /// to at least the cluster lookahead, the DSB015 floor); `None`
-    /// while the link is up.
+    /// `n × n` row-major: `cut[a*n + b]` is `Some(timeout_ns)` while an
+    /// active partition fails traffic from machine `a` to machine `b`,
+    /// with the smallest sender-side failure-detection timeout among the
+    /// partitions cutting it (each clamped to at least the cluster
+    /// lookahead, the DSB015 floor); `None` while the link is up.
     cut: Vec<Option<u64>>,
-    /// Per-machine propagation-delay multiplier (1.0 = healthy). Only
-    /// ever ≥ 1.0, so the lookahead bound stays conservative.
+    /// Per-machine propagation-delay multiplier: the largest among the
+    /// machine's active degradations (1.0 = healthy). Only ever ≥ 1.0,
+    /// so the lookahead bound stays conservative.
     degrade: Vec<f64>,
+    /// The active faults, each under the index of the plan event that
+    /// started it.
+    active: Vec<(usize, NetFault)>,
+}
+
+/// One active network fault.
+#[derive(Debug)]
+enum NetFault {
+    Cut {
+        a: Vec<MachineId>,
+        b: Vec<MachineId>,
+        timeout_ns: u64,
+    },
+    Degrade {
+        machines: Vec<MachineId>,
+        factor: f64,
+    },
 }
 
 impl NetChaos {
@@ -143,6 +163,7 @@ impl NetChaos {
             n,
             cut: vec![None; n * n],
             degrade: vec![1.0; n],
+            active: Vec::new(),
         }
     }
 
@@ -157,13 +178,34 @@ impl NetChaos {
         }
     }
 
-    /// Sets both directions of every link between groups `a` and `b`.
-    fn set_cut(&mut self, a: &[MachineId], b: &[MachineId], timeout_ns: Option<u64>) {
-        for &x in a {
-            for &y in b {
-                let (x, y) = (x.0 as usize, y.0 as usize);
-                self.cut[x * self.n + y] = timeout_ns;
-                self.cut[y * self.n + x] = timeout_ns;
+    /// Starts the fault of plan event `id`, or ends it when `fault` is
+    /// `None`, then folds the links and NICs from every active fault.
+    fn set(&mut self, id: usize, fault: Option<NetFault>) {
+        match fault {
+            Some(f) => self.active.push((id, f)),
+            None => self.active.retain(|(i, _)| *i != id),
+        }
+        self.cut.fill(None);
+        self.degrade.fill(1.0);
+        for (_, fault) in &self.active {
+            match fault {
+                NetFault::Cut { a, b, timeout_ns } => {
+                    for &x in a {
+                        for &y in b {
+                            let (x, y) = (x.0 as usize, y.0 as usize);
+                            for link in [x * self.n + y, y * self.n + x] {
+                                let t = self.cut[link].map_or(*timeout_ns, |t| t.min(*timeout_ns));
+                                self.cut[link] = Some(t);
+                            }
+                        }
+                    }
+                }
+                NetFault::Degrade { machines, factor } => {
+                    for m in machines {
+                        let d = &mut self.degrade[m.0 as usize];
+                        *d = d.max(*factor);
+                    }
+                }
             }
         }
     }
@@ -1815,14 +1857,14 @@ fn dispatch(st: &mut ShardState, sh: &SharedState, sink: &mut Sink, now: SimTime
 }
 
 // ---------------------------------------------------------------------------
-// Lanes: one wheel per worker thread, driven by the epoch engine
+// Lanes: the wheels the epoch engine drives
 // ---------------------------------------------------------------------------
 
 /// A lane's event wheel, padded onto cache lines of its own: a worker
-/// writes its wheel on every event. Unpadded, neighbouring wheels
-/// shared lines, and the two-worker `fig22_sharded` perfsuite workload
-/// lost a third of its throughput on a 2-vCPU Xeon VM (14.8 k vs
-/// 22.0 k req/s).
+/// writes the wheel of the lane it runs on every event. Unpadded,
+/// neighbouring wheels shared lines, and the two-worker
+/// `fig22_sharded` perfsuite workload lost a third of its throughput
+/// on a 2-vCPU Xeon VM (14.8 k vs 22.0 k req/s).
 #[derive(Debug)]
 #[repr(align(128))]
 struct LaneWheel(Scheduler<(u16, Ev)>);
@@ -1832,8 +1874,8 @@ fn lane_wheels(n: usize) -> Vec<LaneWheel> {
     (0..n).map(|_| LaneWheel(Scheduler::new(0))).collect()
 }
 
-/// The lane that owns `shard` when `lanes` lanes run: the whole
-/// shard-to-thread assignment policy.
+/// The lane that owns `shard` when `lanes` lanes run: lane 0 when one
+/// lane holds every shard, else the shard's own lane.
 #[inline]
 fn lane_of(shard: usize, lanes: usize) -> usize {
     // u32 division: cheaper than u64 on some x86 cores, and shard ids
@@ -1841,9 +1883,9 @@ fn lane_of(shard: usize, lanes: usize) -> usize {
     (shard as u32 % lanes as u32) as usize
 }
 
-/// One worker's share of a run: lane `index` of `count`, its wheel, and
-/// exclusive access to the shards it owns (`shards[s]` is `Some` iff
-/// `lane_of(s, count) == index`).
+/// Lane `index` of `count` in one run: its wheel, and exclusive access
+/// to the shards it owns (`shards[s]` is `Some` iff `lane_of(s, count)
+/// == index`).
 struct Lane<'a> {
     index: usize,
     count: usize,
@@ -1883,9 +1925,11 @@ impl EpochShard<SharedState> for Lane<'_> {
             };
             dispatch(st, sh, &mut sink, now, ev);
             // Messages between this lane's own shards skip the epoch
-            // exchange. The wheel orders by `(time, key)` whatever the
-            // insertion order, so filing them now matches absorbing
-            // them at the barrier.
+            // exchange, and so do messages another lane, run earlier in
+            // this window on the same thread, staged for this one. The
+            // wheel orders by `(time, key)` whatever the insertion
+            // order, so filing them now matches absorbing them at the
+            // barrier.
             for (at, key, (dst, msg)) in out.drain(self.index) {
                 self.file(at, key, dst, msg);
             }
@@ -1908,8 +1952,9 @@ impl EpochShard<SharedState> for Lane<'_> {
 struct Boundary {
     /// Started instances that join rotation.
     activate: Vec<InstanceId>,
-    /// Actions of the installed [`ChaosPlan`].
-    chaos: Vec<ChaosAction>,
+    /// Actions of the installed [`ChaosPlan`], each with the index of
+    /// the plan event it comes from.
+    chaos: Vec<(usize, ChaosAction)>,
 }
 
 /// A complete simulation: sharded cluster state plus the control surface
@@ -1938,7 +1983,7 @@ struct Boundary {
 pub struct Simulation {
     shared: SharedState,
     shards: Vec<ShardState>,
-    /// One wheel per lane: `min(workers, shards)` of them.
+    /// One wheel per lane: one at `workers = 1`, else one per shard.
     lanes: Vec<LaneWheel>,
     workers: usize,
     /// Events processed by lane wheels that `set_workers` replaced.
@@ -2104,7 +2149,14 @@ impl Simulation {
         for (s, st) in self.shards.iter_mut().enumerate() {
             lanes[lane_of(s, count)].shards[s] = Some(st);
         }
-        run_epochs(&self.shared, &mut lanes, self.shared.lookahead_ns, until_ns);
+        let lookahead_ns = self.shared.lookahead_ns;
+        run_epochs(
+            &self.shared,
+            &mut lanes,
+            self.workers,
+            lookahead_ns,
+            until_ns,
+        );
     }
 
     // -- Chaos surface -------------------------------------------------------
@@ -2116,10 +2168,14 @@ impl Simulation {
     /// epoch engine stays conservative (the DSB015 floor). The plan is
     /// retained as ground truth, exposed via [`Simulation::chaos_plan`].
     pub fn install_chaos(&mut self, plan: &ChaosPlan) {
-        for (t, action) in plan.schedule() {
+        for (t, id, action) in plan.tagged_schedule() {
             // Boundary 0 would precede the first event run; shift to 1.
             let at = t.as_nanos().max(1);
-            self.boundaries.entry(at).or_default().chaos.push(action);
+            self.boundaries
+                .entry(at)
+                .or_default()
+                .chaos
+                .push((id, action));
         }
         self.chaos_plan = Some(plan.clone());
     }
@@ -2138,7 +2194,7 @@ impl Simulation {
                 m.state = InstanceState::Up;
             }
         }
-        for action in boundary.chaos {
+        for (id, action) in boundary.chaos {
             match action {
                 ChaosAction::CrashMachine { machine } => self.crash_machine(machine, tc),
                 ChaosAction::RestartMachine { machine, cold_for } => {
@@ -2160,20 +2216,16 @@ impl Simulation {
                 }
                 ChaosAction::StartPartition { a, b, timeout } => {
                     let timeout_ns = timeout.as_nanos().max(self.shared.lookahead_ns);
-                    self.net_chaos().set_cut(&a, &b, Some(timeout_ns));
+                    let cut = NetFault::Cut { a, b, timeout_ns };
+                    self.net_chaos().set(id, Some(cut));
                 }
-                ChaosAction::EndPartition { a, b } => self.net_chaos().set_cut(&a, &b, None),
                 ChaosAction::StartDegrade { machines, factor } => {
-                    let net = self.net_chaos();
-                    for m in machines {
-                        net.degrade[m.0 as usize] = factor.max(1.0);
-                    }
+                    let factor = factor.max(1.0);
+                    let degrade = NetFault::Degrade { machines, factor };
+                    self.net_chaos().set(id, Some(degrade));
                 }
-                ChaosAction::EndDegrade { machines } => {
-                    let net = self.net_chaos();
-                    for m in machines {
-                        net.degrade[m.0 as usize] = 1.0;
-                    }
+                ChaosAction::EndPartition { .. } | ChaosAction::EndDegrade { .. } => {
+                    self.net_chaos().set(id, None)
                 }
             }
         }
@@ -2344,11 +2396,12 @@ impl Simulation {
         self.refresh_merged();
     }
 
-    /// Sets the number of worker threads used by subsequent runs: the
-    /// shards are dealt into `min(n, shards)` lanes, one thread each,
-    /// with byte-identical results at every count. `1` (the default)
-    /// runs on the calling thread with no epoch barriers. `now()` and
-    /// `events_processed()` carry over unchanged.
+    /// Sets the number of worker threads used by subsequent runs, with
+    /// byte-identical results at every count. `1` (the default) keeps
+    /// every shard in one lane on the calling thread, with no epoch
+    /// barriers. `n ≥ 2` makes every shard a lane of its own; in each
+    /// epoch window `min(n, shards)` threads claim lanes until none is
+    /// left. `now()` and `events_processed()` carry over unchanged.
     ///
     /// # Panics
     ///
@@ -2364,7 +2417,11 @@ impl Simulation {
         self.clock_floor = self.now().as_nanos();
         self.retired_events = self.events_processed();
         self.workers = n.max(1);
-        self.lanes = lane_wheels(self.workers.min(self.shards.len()));
+        self.lanes = lane_wheels(if self.workers == 1 {
+            1
+        } else {
+            self.shards.len()
+        });
     }
 
     /// The configured worker count.
@@ -3538,11 +3595,9 @@ mod tests {
         }
     }
 
-    /// A partition's failure-detection timeout belongs to its own links:
-    /// a later cut elsewhere, with a longer timeout and already healed,
-    /// does not delay the failure of a request across the first cut.
-    #[test]
-    fn each_partition_keeps_its_own_timeout() {
+    /// A front tier calling a back tier, and the machines the two sit
+    /// on in `sim`.
+    fn front_back() -> (AppSpec, EndpointRef, impl Fn(&Simulation) -> [MachineId; 2]) {
         let mut app = AppBuilder::new("front-back");
         let back = app.service("back").build();
         let get = app.endpoint(back, "get", Dist::constant(64.0), vec![Step::work_us(5.0)]);
@@ -3553,14 +3608,26 @@ mod tests {
             Dist::constant(64.0),
             vec![Step::call(get, 64.0)],
         );
-        let app = app.build();
+        let machines = move |sim: &Simulation| {
+            let f = sim.instance_machine(sim.instances_of(front)[0]);
+            let b = sim.instance_machine(sim.instances_of(back)[0]);
+            assert_ne!(f, b, "front and back must sit on different machines");
+            [f, b]
+        };
+        (app.build(), root, machines)
+    }
+
+    /// A partition's failure-detection timeout belongs to its own links:
+    /// a later cut elsewhere, with a longer timeout and already healed,
+    /// does not delay the failure of a request across the first cut.
+    #[test]
+    fn each_partition_keeps_its_own_timeout() {
+        let (app, root, machines) = front_back();
         let cluster = ClusterSpec::xeon_cluster(4, 1);
         let until = SimTime::from_millis(50);
         for workers in [1, 4] {
             let faults = |sim: &Simulation| {
-                let f = sim.instance_machine(sim.instances_of(front)[0]);
-                let b = sim.instance_machine(sim.instances_of(back)[0]);
-                assert_ne!(f, b, "front and back must sit on different machines");
+                let [f, b] = machines(sim);
                 let rest: Vec<MachineId> = (0..4)
                     .map(MachineId)
                     .filter(|m| ![f, b].contains(m))
@@ -3572,6 +3639,73 @@ mod tests {
             };
             let st = one_request(&app, root, &cluster, workers, faults, until);
             assert_eq!((st.completed, st.failed), (0, 1), "workers={workers}");
+        }
+    }
+
+    /// Partitions over one link compose: the link stays cut while any
+    /// of them is active, and a request across it fails after the
+    /// smallest active timeout. Both plans cut front|back with a 10 ms
+    /// timeout over [1 ms, 1 s) and add a 500 ms cut of the same link:
+    /// one that heals at 3 ms, before the request at 10 ms, and one
+    /// that is still active then. Either way the request fails inside
+    /// 50 ms.
+    #[test]
+    fn overlapping_partitions_compose() {
+        let (app, root, machines) = front_back();
+        let cluster = ClusterSpec::xeon_cluster(4, 1);
+        let until = SimTime::from_millis(50);
+        for second in [[2, 3], [5, 1000]] {
+            for workers in [1, 4] {
+                let faults = |sim: &Simulation| {
+                    let [f, b] = machines(sim);
+                    vec![
+                        cut(vec![f], vec![b], [1, 1000], 10),
+                        cut(vec![f], vec![b], second, 500),
+                    ]
+                };
+                let st = one_request(&app, root, &cluster, workers, faults, until);
+                let at = format!("second cut {second:?} ms, workers={workers}");
+                assert_eq!((st.completed, st.failed), (0, 1), "{at}");
+            }
+        }
+    }
+
+    /// Degradations of one machine compose: its factor is the largest
+    /// among its active degradations, and a ×2 degradation that starts
+    /// or ends inside a ×10 one leaves the request as slow as ×10 alone.
+    #[test]
+    fn overlapping_degradations_compose() {
+        let (app, ep) = one_tier();
+        let mut cluster = ClusterSpec::xeon_cluster(4, 1);
+        cluster.fabric.jitter_frac = 0.0;
+        let degrade = |machine: MachineId, factor: f64, ms: [u64; 2]| ChaosEvent::NicDegrade {
+            machines: vec![machine],
+            factor,
+            from: SimTime::from_millis(ms[0]),
+            until: SimTime::from_millis(ms[1]),
+        };
+        let latency = |second: Option<[u64; 2]>, workers: usize| {
+            let faults = |sim: &Simulation| {
+                let m = sim.instance_machine(sim.instances_of(ep.service)[0]);
+                let mut plan = vec![degrade(m, 10.0, [1, 1000])];
+                plan.extend(second.map(|ms| degrade(m, 2.0, ms)));
+                plan
+            };
+            let st = one_request(&app, ep, &cluster, workers, faults, SimTime::MAX);
+            assert_eq!(st.completed, 1);
+            st.latency.max()
+        };
+        let healthy = one_request(&app, ep, &cluster, 1, |_| vec![], SimTime::MAX);
+        let alone = latency(None, 1);
+        assert!(
+            alone > healthy.latency.max(),
+            "×10 alone is slower than healthy"
+        );
+        for second in [[2, 3], [5, 1000]] {
+            for workers in [1, 4] {
+                let at = format!("×2 over {second:?} ms, workers={workers}");
+                assert_eq!(latency(Some(second), workers), alone, "{at}");
+            }
         }
     }
 

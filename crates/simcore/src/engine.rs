@@ -62,7 +62,9 @@ const H_TOP: u64 = 1 << (G0_BITS + SLOT_BITS * LEVELS as u32);
 ///   `(at, seq)` so the minimum pops from the tail. New events that land
 ///   inside the near window (`at <= near_last`, the common `schedule_now`
 ///   and sub-microsecond-hop case) binary-insert here — at the tail for
-///   same-instant chains, so no memmove in the hot path. The bound is
+///   same-instant chains, so no memmove in the hot path. The window
+///   covers the drained slot plus the empty level-0 slots after it, up
+///   to one rotation (see [`TimerWheel::drain_level0`]). The bound is
 ///   inclusive so the top slot, whose end would be `2^64`, needs no
 ///   special case.
 /// * `overflow`: events at least `H_TOP` beyond the cursor, re-seeded
@@ -88,7 +90,7 @@ struct TimerWheel<E> {
     slots: Vec<Vec<Entry<E>>>,
     /// Per-level slot-occupancy bitmaps.
     occupied: [u64; LEVELS],
-    /// Current drained slot, sorted descending by `(at, seq)`.
+    /// The near window's entries, sorted descending by `(at, seq)`.
     near: Vec<Entry<E>>,
     /// Last instant of the near window, inclusive: every pending entry
     /// with `at <= near_last` is in `near`, so pushes at or before it
@@ -220,13 +222,7 @@ impl<E> TimerWheel<E> {
             let slot_start = ((self.cursor >> G0_BITS) + k) << G0_BITS;
             let slot_last = slot_start + ((1 << G0_BITS) - 1);
             if slot_start < self.upper_min && slot_last < self.overflow_min {
-                self.occupied[0] &= !(1 << idx);
-                self.cursor = slot_start;
-                let slot = &mut self.slots[idx];
-                self.near.append(slot);
-                self.near
-                    .sort_unstable_by(|a, b| (b.at, b.seq).cmp(&(a.at, a.seq)));
-                self.near_last = slot_last;
+                self.drain_level0(idx, slot_start);
                 return true;
             }
         }
@@ -282,16 +278,12 @@ impl<E> TimerWheel<E> {
             let Some((slot_start, level, idx)) = best else {
                 return false;
             };
-            self.occupied[level] &= !(1 << idx);
-            self.cursor = slot_start;
             if level == 0 {
-                let slot = &mut self.slots[idx];
-                self.near.append(slot);
-                self.near
-                    .sort_unstable_by(|a, b| (b.at, b.seq).cmp(&(a.at, a.seq)));
-                self.near_last = slot_start + ((1 << G0_BITS) - 1);
+                self.drain_level0(idx, slot_start);
                 return true;
             }
+            self.occupied[level] &= !(1 << idx);
+            self.cursor = slot_start;
             // Cascade: re-insert the coarse slot's entries; each lands at
             // a strictly lower level (its delta is below this level's
             // slot width). The slot vector is swapped back afterwards so
@@ -302,6 +294,44 @@ impl<E> TimerWheel<E> {
             }
             self.slots[level * SLOTS + idx] = batch;
         }
+    }
+
+    /// Drains level-0 slot `idx`, which starts at `slot_start`, into
+    /// `near`, and stretches the near window over the empty slots after
+    /// it. The window ends one nanosecond before the first of:
+    ///
+    /// * the next occupied level-0 slot;
+    /// * `upper_min`;
+    /// * the overflow minimum, when overflow is non-empty;
+    /// * one rotation (64 slots) past `slot_start`.
+    ///
+    /// No entry outside `near` is due before the first three, so every
+    /// pending entry inside the window is in `near`. The rotation cap
+    /// bounds the span `near`'s sorted inserts cover. Dense traffic
+    /// keeps a one-slot window, because the next slot is occupied.
+    /// Sparse traffic, such as a core's sub-µs timeslices, then pushes
+    /// straight into `near` instead of hopping through a slot. The
+    /// window never ends before the slot's own last nanosecond, and the
+    /// rotation cap saturates at the end of time.
+    fn drain_level0(&mut self, idx: usize, slot_start: u64) {
+        self.occupied[0] &= !(1 << idx);
+        self.cursor = slot_start;
+        self.near.append(&mut self.slots[idx]);
+        self.near
+            .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+        let mut end = self.upper_min;
+        if self.occupied[0] != 0 {
+            let k = self.occupied[0].rotate_right(idx as u32).trailing_zeros() as u64;
+            end = end.min(slot_start + (k << G0_BITS));
+        }
+        if !self.overflow.is_empty() {
+            end = end.min(self.overflow_min);
+        }
+        let rotation_last = slot_start.saturating_add(((SLOTS as u64) << G0_BITS) - 1);
+        let slot_last = slot_start + ((1 << G0_BITS) - 1);
+        // `end` is `u64::MAX` when nothing bounds the window; only the top
+        // slot then reaches the end of time, through `slot_last`.
+        self.near_last = (end - 1).min(rotation_last).max(slot_last);
     }
 
     /// Moves overflow entries whose horizon the cursor has reached back
@@ -689,6 +719,83 @@ mod tests {
         w.push(H_TOP + 5, 3, 3);
         let rest: Vec<_> = std::iter::from_fn(|| w.pop().map(|e| (e.at, e.ev))).collect();
         assert_eq!(rest, [(H_TOP, 1), (H_TOP + 5, 3)]);
+    }
+
+    // -- The near window's stretch: one test per bound. Each drains a
+    //    slot, checks where the window ends, then pushes entries on both
+    //    sides of that end and checks the pop order.
+
+    fn pop_at(w: &mut TimerWheel<u32>) -> Option<(u64, u32)> {
+        w.pop().map(|e| (e.at, e.ev))
+    }
+
+    fn drain_all(w: &mut TimerWheel<u32>) -> Vec<(u64, u32)> {
+        std::iter::from_fn(|| pop_at(w)).collect()
+    }
+
+    /// The window stops before the next occupied level-0 slot.
+    #[test]
+    fn near_window_stops_at_the_next_occupied_slot() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        w.push(100, 1, 1); // slot 0
+        w.push(5_000, 2, 2); // slot 4
+        assert_eq!(pop_at(&mut w), Some((100, 1)));
+        assert_eq!(w.near_last, (4 << G0_BITS) - 1);
+        w.push(6_000, 3, 3); // slot 5, behind the slot-4 entry
+        assert_eq!(drain_all(&mut w), [(5_000, 2), (6_000, 3)]);
+    }
+
+    /// The window stops before `upper_min`, the earliest upper-level slot.
+    #[test]
+    fn near_window_stops_at_upper_min() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        w.push(10_300, 1, 1); // level-0 slot 10
+        w.push(66_000, 2, 2); // 64 slots out: level 1, slot start 65_536
+        assert_eq!(pop_at(&mut w), Some((10_300, 1)));
+        assert_eq!(w.near_last, 65_535);
+        w.push(70_000, 3, 3); // inside the rotation, past the level-1 slot
+        assert_eq!(drain_all(&mut w), [(66_000, 2), (70_000, 3)]);
+    }
+
+    /// The window stops before the overflow minimum.
+    #[test]
+    fn near_window_stops_at_overflow_min() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        w.push(H_TOP, 1, 1); // beyond the horizon: overflow
+        w.push(H_TOP - 2_000, 2, 2); // top level, cascades down to level 0
+        assert_eq!(pop_at(&mut w), Some((H_TOP - 2_000, 2)));
+        assert_eq!(w.near_last, H_TOP - 1);
+        w.push(H_TOP + 5, 3, 3);
+        assert_eq!(drain_all(&mut w), [(H_TOP, 1), (H_TOP + 5, 3)]);
+    }
+
+    /// With nothing else pending the window spans one rotation: the cap
+    /// bounds what `near`'s sorted inserts cover, so an entry one
+    /// rotation out takes the slot path.
+    #[test]
+    fn near_window_stops_one_rotation_out() {
+        let rotation = (SLOTS as u64) << G0_BITS;
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        w.push(100, 1, 1);
+        assert_eq!(pop_at(&mut w), Some((100, 1)));
+        assert_eq!(w.near_last, rotation - 1);
+        w.push(rotation, 2, 2);
+        w.push(rotation - 1, 3, 3);
+        assert_eq!(w.near.len(), 1, "only the entry inside the rotation");
+        assert_eq!(drain_all(&mut w), [(rotation - 1, 3), (rotation, 2)]);
+    }
+
+    /// A drain within one rotation of the end of time saturates the cap
+    /// instead of wrapping; the `u64::MAX` sentinel still pops last.
+    #[test]
+    fn near_window_saturates_near_the_end_of_time() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        w.push(u64::MAX - 5_000, 1, 1);
+        assert_eq!(pop_at(&mut w), Some((u64::MAX - 5_000, 1)));
+        assert_eq!(w.near_last, u64::MAX - 1);
+        w.push(u64::MAX, 2, 2);
+        w.push(u64::MAX - 1, 3, 3);
+        assert_eq!(drain_all(&mut w), [(u64::MAX - 1, 3), (u64::MAX, 2)]);
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! synchronization protocol; the static analyzer's DSB015 lookahead
 //! certificates prove per-app `L` bounds ahead of time.
 //!
+//! Shards are not bound to threads. Each window, the worker threads
+//! claim shards from one shared counter until none is left, so a
+//! thread that finishes a light shard early takes the next one instead
+//! of waiting at the barrier for a peer with a heavy one. A model gets
+//! the most out of this with more shards than threads.
+//!
 //! # Determinism
 //!
 //! Cross-shard transfers carry a `(time, key)` pair minted by the
@@ -25,17 +31,21 @@
 //! shard's key space with the shard index in the upper bits, e.g.
 //! `(shard << 48) | counter`), making the sort a total order.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A cross-shard message batch entry: `(arrival_ns, tie_break_key, payload)`.
 pub type Transfer<T> = (u64, u64, T);
 
-/// Per-destination staging buffers a shard fills while running a window.
+/// Per-destination staging buffers the shards fill while running a
+/// window.
 ///
 /// One bin per destination shard; the driver deposits non-empty bins
-/// into the epoch mailbox at the window boundary. Bins keep their
-/// capacity across epochs, so steady-state sends do not allocate.
+/// into the epoch mailbox at the window boundary. Each worker thread
+/// owns one outbox and passes it to every shard it runs, so a shard's
+/// own bin may already hold transfers that another shard, run earlier
+/// in the same window on the same thread, staged for it. Bins keep
+/// their capacity across epochs, so steady-state sends do not allocate.
 pub struct Outbox<T> {
     bins: Vec<Vec<Transfer<T>>>,
 }
@@ -87,6 +97,13 @@ pub trait EpochShard<C: ?Sized>: Send {
     /// be processed — i.e. drain until the queue head is past `last`.
     /// Sends to this shard itself must not be left in `out`: deliver
     /// them directly (see [`Outbox::drain`]).
+    ///
+    /// `out` is the running thread's, so this shard's bin may also hold
+    /// transfers another shard staged for it earlier in this window.
+    /// Delivering those at once with its own sends is exact: each
+    /// arrives after `last` (at least one lookahead after the event
+    /// that sent it), and the queue pops by `(time, key)` whatever the
+    /// filing order.
     fn run_window(&mut self, ctx: &C, last: u64, out: &mut Outbox<Self::Transfer>);
 
     /// Accepts a batch of inbound transfers, sorted ascending by
@@ -95,6 +112,10 @@ pub trait EpochShard<C: ?Sized>: Send {
     /// clock backwards.
     fn absorb(&mut self, batch: Vec<Transfer<Self::Transfer>>);
 }
+
+/// Why a lock or the barrier can fail: another worker panicked, and
+/// the thread scope re-raises its panic.
+const POISONED: &str = "another epoch worker panicked";
 
 /// A sense-reversing spin barrier for a fixed set of worker threads.
 ///
@@ -106,6 +127,21 @@ struct SpinBarrier {
     count: AtomicU32,
     sense: AtomicU32,
     n: u32,
+    /// Set when a worker unwinds (see [`BreakOnUnwind`]): it will never
+    /// arrive, so the workers waiting for it panic too.
+    broken: AtomicBool,
+}
+
+/// Breaks its barrier if its worker unwinds, so a panic in one shard
+/// fails the run instead of leaving the other workers waiting forever.
+struct BreakOnUnwind<'a>(&'a SpinBarrier);
+
+impl Drop for BreakOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.broken.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 impl SpinBarrier {
@@ -114,6 +150,7 @@ impl SpinBarrier {
             count: AtomicU32::new(0),
             sense: AtomicU32::new(0),
             n,
+            broken: AtomicBool::new(false),
         }
     }
 
@@ -135,6 +172,7 @@ impl SpinBarrier {
                 if spins < 64 {
                     std::hint::spin_loop();
                 } else {
+                    assert!(!self.broken.load(Ordering::Relaxed), "{POISONED}");
                     std::thread::yield_now();
                 }
             }
@@ -142,9 +180,10 @@ impl SpinBarrier {
     }
 }
 
-/// Shared per-epoch coordination state. Window minima and the
-/// any-events flags are double-buffered by epoch parity so workers can
-/// publish epoch `e + 1` values while stragglers still read epoch `e`.
+/// Shared per-epoch coordination state. Window minima, the any-events
+/// flags and the shard claim counters are double-buffered by epoch
+/// parity so workers can publish epoch `e + 1` values while stragglers
+/// still read epoch `e`.
 struct EpochSync {
     barrier: SpinBarrier,
     /// Global minimum event time, one slot per epoch parity.
@@ -153,13 +192,15 @@ struct EpochSync {
     /// (`u64::MAX` is a valid event time — the far-future saturation
     /// sentinel — so emptiness needs its own flag).
     any: [AtomicU32; 2],
+    /// The next unclaimed shard of the window, one per epoch parity.
+    claims: [AtomicUsize; 2],
 }
 
 /// The epoch mailbox: one cell per destination shard. Senders append
-/// under the lock during the run phase; the owner drains after the
-/// epoch barrier. Append order is scheduling-irrelevant because the
-/// batch is sorted by `(time, key)` before absorption and keys are
-/// globally unique.
+/// under the lock during the run phase; the destination's home thread
+/// drains it at the start of the next epoch. Append order is
+/// scheduling-irrelevant because the batch is sorted by `(time, key)`
+/// before absorption and keys are globally unique.
 type Mailbox<T> = Vec<Mutex<Vec<Transfer<T>>>>;
 
 /// Drives `shards` forward until every queue is empty or the earliest
@@ -168,17 +209,18 @@ type Mailbox<T> = Vec<Mutex<Vec<Transfer<T>>>>;
 ///
 /// `lookahead_ns` must be a positive lower bound on every cross-shard
 /// latency: a transfer staged at time `t` must arrive at `t +
-/// lookahead_ns` or later. Two or more shards run on one OS thread
-/// each, so a model that wants fewer threads than partitions passes
-/// coarser shards. A lone shard has no peer that could send it
-/// anything: it runs on the calling thread, straight to `until_ns`, in
-/// a single window. Either way each shard handles its events in the
-/// `(time, key)` order one global queue would give them.
+/// lookahead_ns` or later. Two or more shards run on `threads` OS
+/// threads (clamped to `1..=shards.len()`), which claim the shards of
+/// each window from one shared counter; which thread runs which shard
+/// changes nothing the shards compute. A lone shard has no peer that
+/// could send it anything: it runs on the calling thread, straight to
+/// `until_ns`, in a single window. Either way each shard handles its
+/// events in the `(time, key)` order one global queue would give them.
 ///
 /// # Panics
 ///
 /// Panics if `lookahead_ns` is zero.
-pub fn run_epochs<C, S>(ctx: &C, shards: &mut [S], lookahead_ns: u64, until_ns: u64)
+pub fn run_epochs<C, S>(ctx: &C, shards: &mut [S], threads: usize, lookahead_ns: u64, until_ns: u64)
 where
     C: Sync + ?Sized,
     S: EpochShard<C>,
@@ -191,7 +233,10 @@ where
             lone.run_window(ctx, until_ns, &mut out);
             debug_assert!(out.is_empty(), "shard staged a transfer to itself");
         }
-        _ => pool::run_epochs_threaded(ctx, shards, lookahead_ns, until_ns),
+        _ => {
+            let threads = threads.clamp(1, shards.len());
+            pool::run_epochs_threaded(ctx, shards, threads, lookahead_ns, until_ns)
+        }
     }
 }
 
@@ -211,26 +256,32 @@ mod pool {
     pub(super) fn run_epochs_threaded<C, S>(
         ctx: &C,
         shards: &mut [S],
+        threads: usize,
         lookahead_ns: u64,
         until_ns: u64,
     ) where
         C: Sync + ?Sized,
         S: EpochShard<C>,
     {
-        let n = shards.len();
         let sync = EpochSync {
-            barrier: SpinBarrier::new(n as u32),
+            barrier: SpinBarrier::new(threads as u32),
             mins: [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)],
             any: [AtomicU32::new(0), AtomicU32::new(0)],
+            claims: [AtomicUsize::new(0), AtomicUsize::new(0)],
         };
-        let mailbox: Mailbox<S::Transfer> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
+        let mailbox: Mailbox<S::Transfer> =
+            (0..shards.len()).map(|_| Mutex::new(Vec::new())).collect();
+        // Barriers order every access to a shard, so its lock is never
+        // contended: it only hands the shard from thread to thread.
+        let shards: Vec<Mutex<&mut S>> = shards.iter_mut().map(Mutex::new).collect();
 
         std::thread::scope(|scope| {
-            for (i, shard) in shards.iter_mut().enumerate() {
+            for me in 0..threads {
                 let sync = &sync;
                 let mailbox = &mailbox;
+                let shards = &shards;
                 scope.spawn(move || {
-                    worker_loop(ctx, sync, mailbox, i, shard, lookahead_ns, until_ns)
+                    worker_loop(ctx, sync, mailbox, shards, me, lookahead_ns, until_ns)
                 });
             }
         });
@@ -240,62 +291,79 @@ mod pool {
         ctx: &C,
         sync: &EpochSync,
         mailbox: &Mailbox<S::Transfer>,
+        shards: &[Mutex<&mut S>],
         me: usize,
-        shard: &mut S,
         lookahead_ns: u64,
         until_ns: u64,
     ) where
         C: ?Sized,
         S: EpochShard<C>,
     {
-        let mut out = Outbox::new(mailbox.len());
+        let _unwind = BreakOnUnwind(&sync.barrier);
+        let n = shards.len();
+        let threads = sync.barrier.n as usize;
+        let mut out = Outbox::new(n);
         let mut sense: u32 = 0;
         let mut epoch: usize = 0;
+        let mut last: u64 = 0;
         loop {
-            // Phase 1: publish this shard's next event time into this
-            // epoch's parity slot.
+            // Phase 1: each home shard (`s % threads == me`) absorbs
+            // its inbound batch; the earliest next event among them goes
+            // into this epoch's parity slot.
             let slot = epoch & 1;
-            if let Some(at) = shard.next_event_at() {
+            let home_min = (me..n)
+                .step_by(threads)
+                .filter_map(|s| {
+                    let mut shard = shards[s].lock().expect(POISONED);
+                    let mut batch = std::mem::take(&mut *mailbox[s].lock().expect(POISONED));
+                    if !batch.is_empty() {
+                        batch.sort_unstable_by_key(|&(at, key, _)| (at, key));
+                        debug_assert!(batch.iter().all(|&(at, _, _)| at > last));
+                        shard.absorb(batch);
+                    }
+                    shard.next_event_at()
+                })
+                .min();
+            if let Some(at) = home_min {
                 sync.mins[slot].fetch_min(at, Ordering::AcqRel);
                 sync.any[slot].store(1, Ordering::Release);
             }
             sync.barrier.wait(&mut sense);
 
             // Phase 2: everyone reads the same window, so termination
-            // is unanimous. The leader resets the *other* parity slot
+            // is unanimous. The leader resets the *other* parity slots
             // for the epoch after next — safe here because every worker
-            // finished reading that slot before arriving at the phase-1
+            // finished using them before arriving at the phase-1
             // barrier above.
             let start = sync.mins[slot].load(Ordering::Acquire);
             let any = sync.any[slot].load(Ordering::Acquire) != 0;
             if me == 0 {
                 sync.mins[slot ^ 1].store(u64::MAX, Ordering::Release);
                 sync.any[slot ^ 1].store(0, Ordering::Release);
+                sync.claims[slot ^ 1].store(0, Ordering::Relaxed);
             }
             if !any || start > until_ns {
                 return;
             }
-            let last = window_last(start, lookahead_ns, until_ns);
-            shard.run_window(ctx, last, &mut out);
-            for (dst, bin) in out.bins.iter_mut().enumerate() {
-                if bin.is_empty() {
-                    continue;
+            last = window_last(start, lookahead_ns, until_ns);
+            // Claim shards until none is left, then hand the staged
+            // transfers to their destinations' mailboxes. The counter
+            // only hands out indices; each shard's lock hands over the
+            // shard itself.
+            loop {
+                let s = sync.claims[slot].fetch_add(1, Ordering::Relaxed);
+                if s >= n {
+                    break;
                 }
-                debug_assert!(me != dst, "shard staged a transfer to itself");
-                mailbox[dst].lock().unwrap().append(bin);
+                let mut shard = shards[s].lock().expect(POISONED);
+                shard.run_window(ctx, last, &mut out);
+            }
+            for (dst, bin) in out.bins.iter_mut().enumerate() {
+                if !bin.is_empty() {
+                    mailbox[dst].lock().expect(POISONED).append(bin);
+                }
             }
             sync.barrier.wait(&mut sense);
-
-            // Phase 3: drain this shard's inbound batch. No barrier
-            // needed after this — each worker only touches its own
-            // cell, and the phase-1 barrier of the next epoch orders
-            // every drain before anyone's next window.
-            let mut batch = std::mem::take(&mut *mailbox[me].lock().unwrap());
-            if !batch.is_empty() {
-                batch.sort_unstable_by_key(|&(at, key, _)| (at, key));
-                debug_assert!(batch.iter().all(|&(at, _, _)| at > last));
-                shard.absorb(batch);
-            }
             epoch += 1;
         }
     }
@@ -419,6 +487,13 @@ mod tests {
                         out.send(dst, at, k, h);
                     }
                 }
+                // Like a simulator lane, take what other shards run
+                // earlier on this thread staged for this one: it is due
+                // past the window, so filing it now is exact.
+                for (at, key, hop) in out.drain(self.id) {
+                    assert!(at > last, "transfer at {at} inside window ending {last}");
+                    self.sched.schedule_keyed(SimTime::from_nanos(at), key, hop);
+                }
             }
         }
 
@@ -500,9 +575,17 @@ mod tests {
     #[derive(Clone, Debug)]
     struct Case {
         shards: u8,
+        /// Worker threads; the driver clamps it to `1..=shards`.
+        threads: u8,
         hops: u32,
         lookahead: u64,
         seed: u64,
+    }
+
+    impl Case {
+        fn run(&self, shards: &mut [ToyShard], until: u64) {
+            run_epochs(&(), shards, self.threads as usize, self.lookahead, until);
+        }
     }
 
     impl dsb_testkit::Shrink for Case {
@@ -511,6 +594,12 @@ mod tests {
             if self.shards > 1 {
                 out.push(Case {
                     shards: self.shards - 1,
+                    ..self.clone()
+                });
+            }
+            if self.threads > 1 {
+                out.push(Case {
+                    threads: self.threads - 1,
                     ..self.clone()
                 });
             }
@@ -530,41 +619,82 @@ mod tests {
         }
     }
 
+    /// Runs `case` through the epoch driver, stopping at a horizon and
+    /// resuming, and compares every shard's log with the flat oracle's.
+    fn matches_flat_oracle(case: &Case) -> Result<(), String> {
+        let (mut oracle, inits) = build_shards(case);
+        run_flat(&mut oracle, &inits, u64::MAX);
+        let want: Vec<&[(u64, u64)]> = oracle.iter().map(|s| s.log.as_slice()).collect();
+
+        let (mut shards, inits) = build_shards(case);
+        schedule_inits(&mut shards, &inits);
+        // Split the run at an arbitrary horizon: epoch runs must be
+        // resumable (Simulation::advance_to relies on this).
+        case.run(&mut shards, case.lookahead * 2);
+        case.run(&mut shards, u64::MAX);
+        for (s, want_log) in shards.iter().zip(&want) {
+            prop_assert_eq!(&s.log.as_slice(), want_log, "shard {} diverged", s.id);
+        }
+        let total: usize = shards.iter().map(|s| s.log.len()).sum();
+        prop_assert!(total > 0 || case.hops == 0 || case.shards == 0);
+        Ok(())
+    }
+
     /// The conformance property: for random hop topologies over one to
-    /// six shards (a lone shard runs inline, more run one thread each),
-    /// the epoch protocol produces per-shard event logs byte-identical
-    /// to the flat single-queue oracle, and stopping at a horizon then
-    /// resuming changes nothing.
+    /// six shards, run by one thread up to one per shard (a lone shard
+    /// runs inline), the epoch protocol produces per-shard event logs
+    /// byte-identical to the flat single-queue oracle, and stopping at
+    /// a horizon then resuming changes nothing. Two pinned cases make
+    /// sure one thread over many shards and two threads over six run
+    /// whatever the draws.
     #[test]
     fn epoch_drivers_match_flat_oracle() {
         prop!(
             cases = 60,
-            |rng| Case {
-                shards: gen::u8_in(rng, 1, 6),
-                hops: gen::u32_in(rng, 0, 40),
-                lookahead: gen::u64_in(rng, 1, 10_000),
-                seed: gen::u64_in(rng, 0, u64::MAX),
-            },
-            |case: &Case| {
-                let (mut oracle, inits) = build_shards(case);
-                run_flat(&mut oracle, &inits, u64::MAX);
-                let want: Vec<&[(u64, u64)]> = oracle.iter().map(|s| s.log.as_slice()).collect();
-
-                let (mut shards, inits) = build_shards(case);
-                schedule_inits(&mut shards, &inits);
-                // Split the run at an arbitrary horizon: epoch runs must
-                // be resumable (Simulation::advance_to relies on this).
-                let mid = case.lookahead * 2;
-                run_epochs(&(), &mut shards, case.lookahead, mid);
-                run_epochs(&(), &mut shards, case.lookahead, u64::MAX);
-                for (s, want_log) in shards.iter().zip(&want) {
-                    prop_assert_eq!(&s.log.as_slice(), want_log, "shard {} diverged", s.id);
+            |rng| {
+                let shards = gen::u8_in(rng, 1, 7);
+                Case {
+                    shards,
+                    threads: gen::u8_in(rng, 1, shards + 1),
+                    hops: gen::u32_in(rng, 0, 40),
+                    lookahead: gen::u64_in(rng, 1, 10_000),
+                    seed: gen::u64_in(rng, 0, u64::MAX),
                 }
-                let total: usize = shards.iter().map(|s| s.log.len()).sum();
-                prop_assert!(total > 0 || case.hops == 0 || case.shards == 0);
-                Ok(())
             },
+            matches_flat_oracle,
         );
+        for threads in [1, 2] {
+            let case = Case {
+                shards: 6,
+                threads,
+                hops: 30,
+                lookahead: 700,
+                seed: 0x0DD5,
+            };
+            matches_flat_oracle(&case).unwrap();
+        }
+    }
+
+    /// A shard that panics fails the run: the other worker panics at
+    /// the barrier instead of waiting there forever for it.
+    #[test]
+    fn a_panicking_shard_fails_the_run() {
+        struct Bomb(bool);
+        impl EpochShard<()> for Bomb {
+            type Transfer = ();
+            fn next_event_at(&mut self) -> Option<u64> {
+                Some(0)
+            }
+            fn run_window(&mut self, _: &(), _: u64, _: &mut Outbox<()>) {
+                assert!(!self.0, "shard bug");
+            }
+            fn absorb(&mut self, _: Vec<Transfer<()>>) {}
+        }
+        let run = std::panic::catch_unwind(|| {
+            let mut shards = [Bomb(false), Bomb(true), Bomb(false)];
+            run_epochs(&(), &mut shards, 2, 10, 100);
+        });
+        assert!(run.is_err(), "the shard's panic must reach the caller");
     }
 
     /// A horizon strictly inside the run must stop every shard at or
@@ -573,6 +703,7 @@ mod tests {
     fn horizon_bounds_every_shard() {
         let case = Case {
             shards: 4,
+            threads: 4,
             hops: 25,
             lookahead: 500,
             seed: 0x5EED,
@@ -580,7 +711,7 @@ mod tests {
         let (mut shards, inits) = build_shards(&case);
         schedule_inits(&mut shards, &inits);
         let horizon = 4 * case.lookahead;
-        run_epochs(&(), &mut shards, case.lookahead, horizon);
+        case.run(&mut shards, horizon);
         for s in &shards {
             assert!(
                 s.log.iter().all(|&(at, _)| at <= horizon),
@@ -600,6 +731,7 @@ mod tests {
     fn lone_shard_runs_to_horizon_in_one_window() {
         let case = Case {
             shards: 1,
+            threads: 1,
             hops: 40,
             lookahead: 100,
             seed: 0x1013,
@@ -607,7 +739,7 @@ mod tests {
         let (mut shards, inits) = build_shards(&case);
         schedule_inits(&mut shards, &inits);
         let horizon = 30 * case.lookahead;
-        run_epochs(&(), &mut shards, case.lookahead, horizon);
+        case.run(&mut shards, horizon);
         let s = &shards[0];
         assert_eq!(s.windows, [horizon]);
         // The window really spanned many lookahead widths, and stopped
@@ -617,12 +749,14 @@ mod tests {
         assert!(s.sched.pending() > 0, "chain should outlive the horizon");
     }
 
-    /// Same seed, run twice on five threads: identical logs — the
-    /// threaded driver introduces no scheduling nondeterminism.
+    /// Same seed, run twice with two threads claiming five shards:
+    /// identical logs — the threaded driver introduces no scheduling
+    /// nondeterminism, whichever thread runs which shard.
     #[test]
     fn threaded_driver_is_deterministic() {
         let case = Case {
             shards: 5,
+            threads: 2,
             hops: 30,
             lookahead: 900,
             seed: 0xABCD,
@@ -631,7 +765,7 @@ mod tests {
         for _ in 0..2 {
             let (mut shards, inits) = build_shards(&case);
             schedule_inits(&mut shards, &inits);
-            run_epochs(&(), &mut shards, case.lookahead, u64::MAX);
+            case.run(&mut shards, u64::MAX);
             logs.push(shards.iter().map(|s| s.log.clone()).collect::<Vec<_>>());
         }
         assert_eq!(logs[0], logs[1]);
