@@ -41,7 +41,7 @@ use dsb_simcore::{
     mix64, run_epochs, EpochShard, Outbox, Rng, Scheduler, SimDuration, SimTime, Transfer,
     UtilizationTracker,
 };
-use dsb_trace::{Span, SpanId, TraceCollector, TraceId};
+use dsb_trace::{ShardCollector, Span, SpanId, TraceCollector, TraceId};
 use dsb_uarch::{CoreModel, ExecDomain};
 
 use crate::chaos::{ChaosAction, ChaosPlan};
@@ -779,10 +779,11 @@ struct ShardState {
     /// Tie-break key counter; see [`ShardState::mint`].
     key_ctr: u64,
     /// Span-id counter (shard-tagged like keys, so ids are globally
-    /// unique without coordination).
+    /// unique without coordination, and the merged collector can place
+    /// each kept span by its shard; see [`TraceCollector::sync_from`]).
     span_ctr: u64,
     stats: Vec<ServiceStats>,
-    collector: TraceCollector,
+    collector: ShardCollector,
     /// Client shard only: end-to-end stats per request type.
     request_stats: Vec<RequestStats>,
     /// Client shard only: request-id counter.
@@ -2003,8 +2004,9 @@ pub struct Simulation {
     /// order (0, 1, 2, …) so the floating-point sums are bit-stable.
     merged_stats: Vec<ServiceStats>,
     /// Cluster-wide trace view, synced incrementally after every run:
-    /// only services with new spans and traces with new sampled spans
-    /// are re-merged (see [`TraceCollector::sync_from`]).
+    /// only services with new spans are re-merged, and the spans each
+    /// shard kept since the last sync move here (see
+    /// [`TraceCollector::sync_from`]).
     merged_collector: TraceCollector,
     /// Event count at the last merge — skips rebuilds when nothing ran.
     merged_events: u64,
@@ -2069,7 +2071,7 @@ impl Simulation {
                     key_ctr: 0,
                     span_ctr: 0,
                     stats: vec![ServiceStats::default(); nsvc],
-                    collector: TraceCollector::new(
+                    collector: ShardCollector::new(
                         cluster.window,
                         cluster.trace_sample_prob,
                         cseed,
@@ -2491,7 +2493,7 @@ impl Simulation {
                 s.merge(&shard.stats[sid]);
             }
         }
-        let mut collectors: Vec<&mut TraceCollector> =
+        let mut collectors: Vec<&mut ShardCollector> =
             self.shards.iter_mut().map(|s| &mut s.collector).collect();
         self.merged_collector.sync_from(&mut collectors);
     }
@@ -2516,6 +2518,12 @@ impl Simulation {
     }
 
     /// The distributed-tracing collector (merged across shards).
+    ///
+    /// A kept span lives only here: each shard holds the spans it kept
+    /// during the current run, and the merge after the run moves them
+    /// in. A kept trace costs its spans (80 bytes each) in one `Vec`
+    /// sized to the trace, plus one map entry; spans of dropped traces
+    /// cost only their share of the per-service aggregates.
     pub fn collector(&self) -> &TraceCollector {
         &self.merged_collector
     }
@@ -2804,6 +2812,27 @@ mod tests {
 
     fn small_cluster() -> ClusterSpec {
         ClusterSpec::xeon_cluster(2, 1)
+    }
+
+    /// `front` (10 µs, then one call) over `back` (20 µs), 8 workers
+    /// each; returns the front's endpoint.
+    fn front_back_app() -> (AppSpec, EndpointRef) {
+        let mut app = AppBuilder::new("par");
+        let back = app.service("back").workers(8).build();
+        let get = app.endpoint(
+            back,
+            "get",
+            Dist::constant(512.0),
+            vec![Step::work_us(20.0)],
+        );
+        let front = app.service("front").workers(8).build();
+        let root = app.endpoint(
+            front,
+            "root",
+            Dist::constant(1024.0),
+            vec![Step::work_us(10.0), Step::call(get, 128.0)],
+        );
+        (app.build(), root)
     }
 
     #[test]
@@ -3199,6 +3228,37 @@ mod tests {
         assert_eq!(child.service, back.0);
         assert!(child.start >= root_span.start);
         assert!(child.end <= root_span.end);
+    }
+
+    /// Full sampling, run in 25 slices: after every `advance_to` each
+    /// shard has moved its kept spans into the merged view, so the
+    /// shard side holds none however long the run.
+    #[test]
+    fn shards_hold_no_kept_span_after_a_slice() {
+        for workers in [1, 4] {
+            let (app, root) = front_back_app();
+            let mut cluster = ClusterSpec::xeon_cluster(4, 2);
+            cluster.trace_sample_prob = 1.0;
+            let mut sim = Simulation::new(app, cluster, 21);
+            sim.set_workers(workers);
+            for i in 0..400u64 {
+                sim.inject(SimTime::from_micros(i * 50), root, RequestType(0), 128, i);
+            }
+            let mut merged = 0;
+            for k in 1..=25u64 {
+                sim.advance_to(SimTime::from_millis(k));
+                assert!(
+                    sim.shards.iter().all(|s| s.collector.pending_spans() == 0),
+                    "workers={workers}: a shard holds kept spans after slice {k}"
+                );
+                let spans: usize = sim.collector().sampled_traces().map(|(_, t)| t.len()).sum();
+                assert!(spans >= merged, "workers={workers}: merged spans shrank");
+                merged = spans;
+            }
+            let done = sim.request_stats(RequestType(0)).unwrap().completed;
+            assert_eq!(done, 400, "workers={workers}");
+            assert_eq!(merged as u64, 2 * done, "workers={workers}");
+        }
     }
 
     #[test]
@@ -3758,28 +3818,10 @@ mod tests {
     /// `tests/parallel_conformance.rs`.)
     #[test]
     fn workers_equivalent_to_serial() {
-        let build = || {
-            let mut app = AppBuilder::new("par");
-            let back = app.service("back").workers(8).build();
-            let get = app.endpoint(
-                back,
-                "get",
-                Dist::constant(512.0),
-                vec![Step::work_us(20.0)],
-            );
-            let front = app.service("front").workers(8).build();
-            let root = app.endpoint(
-                front,
-                "root",
-                Dist::constant(1024.0),
-                vec![Step::work_us(10.0), Step::call(get, 128.0)],
-            );
-            (app.build(), root)
-        };
         // Two phases of 100 requests with a drain between them, where
         // the worker count switches from `first` to `second`.
         let run = |first: usize, second: usize| {
-            let (app, ep) = build();
+            let (app, ep) = front_back_app();
             let mut cluster = ClusterSpec::xeon_cluster(4, 2);
             cluster.trace_sample_prob = 1.0;
             let mut sim = Simulation::new(app, cluster, 99);

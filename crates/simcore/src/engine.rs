@@ -49,6 +49,11 @@ const G0_BITS: u32 = 10;
 /// years. Events scheduled further out (notably the [`SimTime::MAX`]
 /// saturation sentinel) go to the overflow ring.
 const H_TOP: u64 = 1 << (G0_BITS + SLOT_BITS * LEVELS as u32);
+/// Largest buffer, in entries, an upper-level slot keeps after a
+/// cascade empties it. A burst (say, a slice of pre-scheduled arrivals)
+/// grows one slot's buffer once; holding that on every slot it ever
+/// visited would keep the burst's memory for the whole run.
+const CASCADE_KEEP: usize = 256;
 
 /// A hierarchical timing wheel holding `(at, seq, ev)` entries.
 ///
@@ -84,10 +89,11 @@ const H_TOP: u64 = 1 << (G0_BITS + SLOT_BITS * LEVELS as u32);
 /// are unique, so the sort is a total order and `sort_unstable` is
 /// deterministic). Slots are nearly sorted already, so this is cheap.
 struct TimerWheel<E> {
-    /// `LEVELS * SLOTS` slot vectors, flattened (`level * SLOTS + idx`).
-    /// Drained with `Vec::drain` so their capacity is reused for the
-    /// whole run — no steady-state allocation.
-    slots: Vec<Vec<Entry<E>>>,
+    /// Per level, its `SLOTS` slot vectors, allocated on the level's
+    /// first push so a wheel pays only for the levels it uses. A slot
+    /// keeps its capacity when it drains, except that an upper-level
+    /// slot gives back a buffer larger than `CASCADE_KEEP` entries.
+    slots: [Vec<Vec<Entry<E>>>; LEVELS],
     /// Per-level slot-occupancy bitmaps.
     occupied: [u64; LEVELS],
     /// The near window's entries, sorted descending by `(at, seq)`.
@@ -119,7 +125,7 @@ struct TimerWheel<E> {
 impl<E> TimerWheel<E> {
     fn new() -> Self {
         TimerWheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            slots: std::array::from_fn(|_| Vec::new()),
             occupied: [0; LEVELS],
             near: Vec::new(),
             near_last: 0,
@@ -182,7 +188,11 @@ impl<E> TimerWheel<E> {
             self.upper_min = self.upper_min.min((e.at >> shift) << shift);
         }
         self.occupied[level as usize] |= 1 << idx;
-        self.slots[level as usize * SLOTS + idx].push(e);
+        let slots = &mut self.slots[level as usize];
+        if slots.is_empty() {
+            slots.resize_with(SLOTS, Vec::new);
+        }
+        slots[idx].push(e);
     }
 
     /// Timestamp of the next entry, refilling the near buffer if needed.
@@ -287,12 +297,14 @@ impl<E> TimerWheel<E> {
             // Cascade: re-insert the coarse slot's entries; each lands at
             // a strictly lower level (its delta is below this level's
             // slot width). The slot vector is swapped back afterwards so
-            // its capacity is reused.
-            let mut batch = std::mem::take(&mut self.slots[level * SLOTS + idx]);
+            // its capacity is reused, unless a burst made it large.
+            let mut batch = std::mem::take(&mut self.slots[level][idx]);
             for e in batch.drain(..) {
                 self.push_wheel(e);
             }
-            self.slots[level * SLOTS + idx] = batch;
+            if batch.capacity() <= CASCADE_KEEP {
+                self.slots[level][idx] = batch;
+            }
         }
     }
 
@@ -316,7 +328,7 @@ impl<E> TimerWheel<E> {
     fn drain_level0(&mut self, idx: usize, slot_start: u64) {
         self.occupied[0] &= !(1 << idx);
         self.cursor = slot_start;
-        self.near.append(&mut self.slots[idx]);
+        self.near.append(&mut self.slots[0][idx]);
         self.near
             .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
         let mut end = self.upper_min;
@@ -719,6 +731,30 @@ mod tests {
         w.push(H_TOP + 5, 3, 3);
         let rest: Vec<_> = std::iter::from_fn(|| w.pop().map(|e| (e.at, e.ev))).collect();
         assert_eq!(rest, [(H_TOP, 1), (H_TOP + 5, 3)]);
+    }
+
+    /// A burst that cascades out of an upper-level slot leaves no large
+    /// buffer behind there, and a level never pushed to allocates no
+    /// slots.
+    #[test]
+    fn wheel_memory_follows_its_load() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        assert!(
+            w.slots.iter().all(Vec::is_empty),
+            "a new wheel has no slots"
+        );
+        let t = 1 << (G0_BITS + 2 * SLOT_BITS); // level-2 territory
+        for i in 0..1_000 {
+            w.push(t + i, i, i as u32);
+        }
+        assert_eq!(w.slots[2].len(), SLOTS);
+        assert!(w.slots[1].is_empty() && w.slots[3..].iter().all(Vec::is_empty));
+        assert_eq!(drain_all(&mut w).len(), 1_000);
+        let kept = w.slots[1..].iter().flatten().map(Vec::capacity).max();
+        assert!(
+            kept <= Some(CASCADE_KEEP),
+            "an upper slot kept {kept:?} entries"
+        );
     }
 
     // -- The near window's stretch: one test per bound. Each drains a

@@ -85,6 +85,14 @@ impl ServiceTraceStats {
 /// overhead is < 0.1 % of end-to-end latency; in the simulator collection
 /// is free (no simulated cost), which we note in EXPERIMENTS.md.
 ///
+/// A collector used on its own records kept spans straight into its
+/// trace map. A sharded run instead records into one
+/// [`ShardCollector`] per shard and brings a merged collector up to
+/// date with [`TraceCollector::sync_from`], which moves each kept span
+/// into the merged map: a kept span is stored once, at 80 bytes plus
+/// its trace's share of one map entry and one `Vec` sized to the
+/// trace.
+///
 /// # Example
 ///
 /// ```
@@ -116,10 +124,14 @@ pub struct TraceCollector {
     seed: u64,
     services: Vec<ServiceTraceStats>,
     sampled: BTreeMap<TraceId, Vec<Span>>,
-    /// Traces that gained a sampled span since the last
-    /// [`TraceCollector::sync_from`] drained this log (may repeat).
-    touched: Vec<TraceId>,
     dropped: u64,
+}
+
+/// The shard a span was recorded on, read from the top 16 bits of its
+/// id (see [`TraceCollector::sync_from`]).
+#[inline]
+fn shard_of(span: &Span) -> usize {
+    (span.id.0 >> 48) as usize
 }
 
 impl TraceCollector {
@@ -142,7 +154,6 @@ impl TraceCollector {
             seed,
             services: Vec::new(),
             sampled: BTreeMap::new(),
-            touched: Vec::new(),
             dropped: 0,
         }
     }
@@ -156,8 +167,9 @@ impl TraceCollector {
         u < self.sample_prob
     }
 
-    /// Records one completed span.
-    pub fn record(&mut self, span: Span) {
+    /// Folds `span` into its service's aggregates and returns whether
+    /// its trace is kept, counting it as dropped otherwise.
+    fn admit(&mut self, span: &Span) -> bool {
         let idx = span.service as usize;
         if idx >= self.services.len() {
             let w = self.window;
@@ -175,15 +187,17 @@ impl TraceCollector {
 
         // Fast path when sampling is off (the common configuration for
         // perf kernels): no trace ever qualifies, so skip the hash.
-        if self.sample_prob == 0.0 {
+        let keep = self.sample_prob > 0.0 && self.keeps(span.trace);
+        if !keep {
             self.dropped += 1;
-            return;
         }
-        if self.keeps(span.trace) {
-            self.touched.push(span.trace);
+        keep
+    }
+
+    /// Records one completed span.
+    pub fn record(&mut self, span: Span) {
+        if self.admit(&span) {
             self.sampled.entry(span.trace).or_default().push(span);
-        } else {
-            self.dropped += 1;
         }
     }
 
@@ -193,48 +207,64 @@ impl TraceCollector {
     ///
     /// The result equals a from-scratch fold of every shard in slice
     /// order: each sampled trace is the concatenation of its spans on
-    /// shard 0, then shard 1, …, so serialized trace output is
-    /// deterministic. Only traces in the shards' touched logs (drained
-    /// here) are rebuilt, and only services whose summed span count
-    /// moved are re-folded. This collector must be written only by syncs
-    /// from the same shards, and never record spans itself.
+    /// shard 0, then shard 1, …, each shard's in record order, so
+    /// serialized trace output is deterministic. Each shard's kept spans
+    /// move here (its log is left empty): one map lookup per trace and
+    /// shard, and the trace's `Vec` grows to exactly its new length. A
+    /// span from shard `i` goes after the trace's spans from shards ≤
+    /// `i` and before any from later shards, so a trace that straddles
+    /// syncs keeps the order a single fold gives it. Only services whose
+    /// summed span count moved are re-folded. This collector must be
+    /// written only by syncs from the same shards, and never record
+    /// spans itself.
+    ///
+    /// Every span kept by `shards[i]` must carry `i` in the top 16 bits
+    /// of its id, as the simulator's `(shard << 48) | counter` span ids
+    /// do: that tag is how a merged span's shard is found. Checked by a
+    /// `debug_assert!`.
     ///
     /// # Panics
     ///
     /// Panics if a shard disagrees with this collector on window width,
     /// sampling probability, or sampling seed — merged verdicts would be
     /// inconsistent otherwise.
-    pub fn sync_from(&mut self, shards: &mut [&mut TraceCollector]) {
-        let mut touched = Vec::new();
+    pub fn sync_from(&mut self, shards: &mut [&mut ShardCollector]) {
         let mut nsvc = self.services.len();
-        for s in shards.iter_mut() {
+        for s in shards.iter() {
+            let s = &s.local;
             assert!(
                 self.window == s.window && self.sample_prob == s.sample_prob && self.seed == s.seed,
                 "cannot merge collectors with different configurations"
             );
-            touched.append(&mut s.touched);
             nsvc = nsvc.max(s.services.len());
         }
         let w = self.window;
         self.services
             .resize_with(nsvc, || ServiceTraceStats::new(w));
         for (i, mine) in self.services.iter_mut().enumerate() {
-            let parts: Vec<&ServiceTraceStats> =
-                shards.iter().filter_map(|s| s.services.get(i)).collect();
+            let parts: Vec<&ServiceTraceStats> = shards
+                .iter()
+                .filter_map(|s| s.local.services.get(i))
+                .collect();
             mine.sync_from(&parts);
         }
-        touched.sort_unstable();
-        touched.dedup();
-        for trace in touched {
-            let spans = self.sampled.entry(trace).or_default();
-            spans.clear();
-            for s in shards.iter() {
-                if let Some(theirs) = s.sampled.get(&trace) {
-                    spans.extend_from_slice(theirs);
-                }
+        for (i, s) in shards.iter_mut().enumerate() {
+            // Stable, so each trace's spans keep their record order.
+            s.kept.sort_by_key(|span| span.trace);
+            for group in s.kept.chunk_by(|a, b| a.trace == b.trace) {
+                debug_assert!(
+                    group.iter().all(|span| shard_of(span) == i),
+                    "a span synced from shard {i} carries another shard's tag"
+                );
+                let spans = self.sampled.entry(group[0].trace).or_default();
+                let at = spans.partition_point(|span| shard_of(span) <= i);
+                spans.reserve_exact(group.len());
+                spans.extend_from_slice(group);
+                spans[at..].rotate_right(group.len());
             }
+            s.kept.clear();
         }
-        self.dropped = shards.iter().map(|s| s.dropped).sum();
+        self.dropped = shards.iter().map(|s| s.local.dropped).sum();
     }
 
     /// Aggregates for service `id`, if any span was recorded for it.
@@ -260,6 +290,46 @@ impl TraceCollector {
     /// Spans recorded but not retained (aggregation still happened).
     pub fn dropped_spans(&self) -> u64 {
         self.dropped
+    }
+}
+
+/// One shard's side of a sharded [`TraceCollector`]: the shard's
+/// per-service aggregates, plus the spans it kept since the last
+/// [`TraceCollector::sync_from`], in record order. The sync moves those
+/// spans into the merged collector, so between syncs a shard holds only
+/// the spans of its latest run slice.
+#[derive(Debug, Clone)]
+pub struct ShardCollector {
+    /// Aggregates, dropped count and configuration; its own trace map
+    /// stays empty.
+    local: TraceCollector,
+    /// Kept spans not yet moved into the merged collector.
+    kept: Vec<Span>,
+}
+
+impl ShardCollector {
+    /// Creates a shard collector; see [`TraceCollector::new`] for the
+    /// arguments. Every shard of one run and its merged collector take
+    /// the same three.
+    pub fn new(window: SimDuration, sample_prob: f64, seed: u64) -> Self {
+        ShardCollector {
+            local: TraceCollector::new(window, sample_prob, seed),
+            kept: Vec::new(),
+        }
+    }
+
+    /// Records one completed span. Its id must carry this shard's index
+    /// in the top 16 bits (see [`TraceCollector::sync_from`]).
+    pub fn record(&mut self, span: Span) {
+        if self.local.admit(&span) {
+            self.kept.push(span);
+        }
+    }
+
+    /// Kept spans recorded since the last sync, waiting to move into the
+    /// merged collector.
+    pub fn pending_spans(&self) -> usize {
+        self.kept.len()
     }
 }
 
@@ -367,14 +437,16 @@ mod tests {
     }
 
     #[test]
-    fn sampling_zero_touches_nothing() {
-        let mut c = TraceCollector::new(SimDuration::from_secs(1), 0.0, 1);
+    fn sampling_zero_keeps_nothing() {
+        let mut c = ShardCollector::new(SimDuration::from_secs(1), 0.0, 1);
         c.record(span(1, 0, 0, 100));
-        assert!(c.touched.is_empty());
+        assert_eq!(c.pending_spans(), 0);
     }
 
     /// The from-scratch fold `sync_from` replaced: clone shard 0, then
-    /// merge every later shard into it in order. Kept as the oracle.
+    /// merge every later shard into it in order. Its inputs are
+    /// standalone collectors that recorded the same spans as the shard
+    /// collectors, each into its own trace map. Kept as the oracle.
     fn reference_fold(shards: &[TraceCollector]) -> TraceCollector {
         let mut out = shards[0].clone();
         for other in &shards[1..] {
@@ -407,7 +479,7 @@ mod tests {
         format!("{:?}\n{:?}\n{}", c.services, c.sampled, c.dropped)
     }
 
-    use dsb_testkit::Shrink;
+    use dsb_testkit::{prop_assert, prop_assert_eq, Shrink};
 
     /// One generated span: recorded on shard `shard`, ending at `end_us`
     /// (random, so later records land in earlier windows too), then (if
@@ -446,44 +518,105 @@ mod tests {
         }
     }
 
+    const SHARDS: usize = 3;
+
+    fn new_collector() -> TraceCollector {
+        TraceCollector::new(SimDuration::from_secs(1), 0.5, 9)
+    }
+
+    /// Records `recs` on `SHARDS` shard collectors, with span ids tagged
+    /// by shard as the simulator mints them, and syncs a merged
+    /// collector wherever a record asks for it and once at the end.
+    /// Returns the final merged collector.
+    fn check_syncs(recs: &[Rec]) -> Result<TraceCollector, String> {
+        let fresh = || ShardCollector::new(SimDuration::from_secs(1), 0.5, 9);
+        let mut shards: Vec<ShardCollector> = (0..SHARDS).map(|_| fresh()).collect();
+        let mut mirror: Vec<TraceCollector> = (0..SHARDS).map(|_| new_collector()).collect();
+        let mut merged = new_collector();
+        for (i, r) in recs.iter().enumerate() {
+            let end = r.end_us as u64;
+            let mut s = span(r.trace as u64, r.service as u32, end - end / 3, end);
+            s.id = SpanId((r.shard as u64) << 48 | i as u64);
+            shards[r.shard as usize].record(s);
+            mirror[r.shard as usize].record(s);
+            if r.sync {
+                sync_and_check(&mut merged, &mut shards, &mirror)?;
+            }
+        }
+        sync_and_check(&mut merged, &mut shards, &mirror)?;
+        Ok(merged)
+    }
+
+    /// Syncs `merged` from `shards`. The merged view must then equal the
+    /// reference fold of `mirror`, standalone collectors fed the same
+    /// spans; no shard may still hold a kept span; and every merged
+    /// trace's `Vec` must be exactly its length.
+    fn sync_and_check(
+        merged: &mut TraceCollector,
+        shards: &mut [ShardCollector],
+        mirror: &[TraceCollector],
+    ) -> Result<(), String> {
+        merged.sync_from(&mut shards.iter_mut().collect::<Vec<_>>());
+        prop_assert_eq!(view(merged), view(&reference_fold(mirror)));
+        prop_assert!(
+            shards.iter().all(|s| s.pending_spans() == 0),
+            "a shard still holds kept spans after a sync"
+        );
+        prop_assert!(
+            merged.sampled.values().all(|v| v.capacity() == v.len()),
+            "a merged trace's Vec is larger than the trace"
+        );
+        Ok(())
+    }
+
     /// Syncing at arbitrary points equals the ordered clone-and-merge
     /// fold of every shard: aggregates, windows, span order within each
     /// sampled trace, and the dropped count.
     #[test]
     fn sync_matches_reference_fold() {
-        use dsb_testkit::{gen, prop, prop_assert_eq};
-        const SHARDS: usize = 3;
+        use dsb_testkit::{gen, prop};
         prop!(
             cases = 200,
             |rng| {
-                gen::vec_with(rng, 1, 100, |r| Rec {
+                // Some cases sync after nearly every span; others let a
+                // shard log up to a hundred spans between syncs, enough
+                // to expose a sort that loses record order.
+                let every = gen::u32_in(rng, 1, 200);
+                gen::vec_with(rng, 1, 300, |r| Rec {
                     shard: gen::u8_in(r, 0, SHARDS as u8),
                     trace: gen::u8_in(r, 0, 16),
                     service: gen::u8_in(r, 0, 4),
                     end_us: gen::u32_in(r, 1, 4_000_000),
-                    sync: gen::u32_in(r, 0, 5) == 0,
+                    sync: gen::u32_in(r, 0, every) == 0,
                 })
             },
-            |recs: &Vec<Rec>| {
-                let new = || TraceCollector::new(SimDuration::from_secs(1), 0.5, 9);
-                let mut shards: Vec<TraceCollector> = (0..SHARDS).map(|_| new()).collect();
-                let mut merged = new();
-                for (i, r) in recs.iter().enumerate() {
-                    let end = r.end_us as u64;
-                    let mut s = span(r.trace as u64, r.service as u32, end - end / 3, end);
-                    s.id = SpanId(i as u64);
-                    shards[r.shard as usize].record(s);
-                    if r.sync {
-                        let expect = view(&reference_fold(&shards));
-                        merged.sync_from(&mut shards.iter_mut().collect::<Vec<_>>());
-                        prop_assert_eq!(view(&merged), expect);
-                    }
-                }
-                let expect = view(&reference_fold(&shards));
-                merged.sync_from(&mut shards.iter_mut().collect::<Vec<_>>());
-                prop_assert_eq!(view(&merged), expect);
-                Ok(())
-            }
+            |recs: &Vec<Rec>| check_syncs(recs).map(drop)
         );
+    }
+
+    /// A trace that straddles syncs: shard 2's span is merged first, then
+    /// shards 1 and 0 record spans of the same trace, and shard 2 one
+    /// more. Each lands in shard order, as one fold of all four gives.
+    #[test]
+    fn lower_shard_span_after_a_synced_higher_one() {
+        let t = (0..16u8)
+            .find(|&t| new_collector().keeps(TraceId(t as u64)))
+            .expect("some trace of 16 is kept at p = 0.5");
+        let rec = |shard, sync| Rec {
+            shard,
+            trace: t,
+            service: 0,
+            end_us: 1_000,
+            sync,
+        };
+        let recs = [rec(2, true), rec(1, false), rec(0, true), rec(2, true)];
+        let merged = check_syncs(&recs).unwrap_or_else(|e| panic!("{e}"));
+        let tags: Vec<usize> = merged
+            .trace(TraceId(t as u64))
+            .unwrap()
+            .iter()
+            .map(shard_of)
+            .collect();
+        assert_eq!(tags, [0, 1, 2, 2]);
     }
 }

@@ -13,7 +13,9 @@
 //!   application split is read straight off these fields).
 //! * [`TraceCollector`] — aggregates spans into per-service histograms and
 //!   time-windowed series (for heatmaps), and retains a configurable sample
-//!   of complete traces, like production collectors do.
+//!   of complete traces, like production collectors do. In a sharded run
+//!   each shard records into a [`ShardCollector`], whose kept spans move
+//!   into the merged collector on every sync.
 //! * [`critical_path`] — attributes an end-to-end request's latency to the
 //!   services on its critical path (the "last finishing child" walk used on
 //!   Dapper-style traces).
@@ -23,5 +25,5 @@
 mod collector;
 mod span;
 
-pub use collector::{ServiceTraceStats, TraceCollector};
+pub use collector::{ServiceTraceStats, ShardCollector, TraceCollector};
 pub use span::{critical_path, Attribution, Span, SpanId, TraceId};
