@@ -121,13 +121,14 @@ if [ "$lint_wall" -gt "$LINT_BUDGET_S" ]; then
     exit 1
 fi
 
-echo "==> engine self-checks: dsb-simcore + dsb-core + dsb-trace tests, the chaos suite and parallel conformance with debug assertions and overflow checks (outside the budget)"
+echo "==> engine self-checks: dsb-simcore + dsb-core + dsb-trace + dsb-telemetry tests, the chaos suite and parallel conformance with debug assertions and overflow checks (outside the budget)"
 # Every other step builds --release, where debug_assert! and integer
 # overflow checks compile out, so the engine's own invariants (wheel
 # order, lookahead floor, slot liveness, the shard tag of every span a
-# trace sync places) would never run. Same release optimizations,
-# checks switched back on, in a target dir of its own so the plain
-# release artifacts above are not rebuilt. The chaos suite
+# trace sync places) would never run, and neither would the overflow
+# checks on the metrics registry's integer window sums. Same release
+# optimizations, checks switched back on, in a target dir of its own so
+# the plain release artifacts above are not rebuilt. The chaos suite
 # (tests/chaos.rs) drives all five fault kinds, so the fault paths'
 # assertions (the hop's lookahead floor, a cut request leaving from its
 # caller's shard) run too. The conformance suite runs the epoch
@@ -136,7 +137,8 @@ echo "==> engine self-checks: dsb-simcore + dsb-core + dsb-trace tests, the chao
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
     CARGO_TARGET_DIR=target/checked \
-    cargo test -q --release --offline -p dsb-simcore -p dsb-core -p dsb-trace
+    cargo test -q --release --offline -p dsb-simcore -p dsb-core -p dsb-trace \
+    -p dsb-telemetry
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
     CARGO_TARGET_DIR=target/checked \

@@ -13,6 +13,7 @@
 
 use dsb_apps::BuiltApp;
 use dsb_core::{RequestType, Simulation};
+use dsb_experiments::harness::totals;
 use dsb_simcore::SimTime;
 use dsb_workload::{OpenLoop, UserPopulation};
 
@@ -26,7 +27,7 @@ pub fn mini_run_completed(app: &BuiltApp, qps: f64, secs: u64, seed: u64) -> (u6
     let mut load = OpenLoop::new(app.mix.clone(), UserPopulation::uniform(200), seed);
     load.drive(&mut sim, SimTime::ZERO, SimTime::from_secs(secs), qps);
     sim.run_until_idle();
-    (sim.events_processed(), completed(&sim))
+    (sim.events_processed(), totals(&sim).1)
 }
 
 /// The fig22-style parallel kernel: a multi-rack cluster crunching long
@@ -89,15 +90,7 @@ pub fn fig22_run(workers: usize, qps: f64, secs: u64, seed: u64) -> (u64, u64) {
     let mut load = OpenLoop::new(app.mix.clone(), UserPopulation::uniform(200), seed);
     load.drive(&mut sim, SimTime::ZERO, SimTime::from_secs(secs), qps);
     sim.run_until_idle();
-    (sim.events_processed(), completed(&sim))
-}
-
-/// Completed requests summed over every request type the run injected.
-fn completed(sim: &Simulation) -> u64 {
-    (0..sim.request_type_count() as u32)
-        .filter_map(|t| sim.request_stats(RequestType(t)))
-        .map(|st| st.completed)
-        .sum()
+    (sim.events_processed(), totals(&sim).1)
 }
 
 #[cfg(test)]

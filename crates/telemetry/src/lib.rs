@@ -8,7 +8,7 @@
 //!
 //! * [`Registry`] — a deterministic metrics store: counters and gauges
 //!   keyed by `(service, endpoint, machine, target, rtype)` labels, each
-//!   a [`dsb_simcore::WindowedSeries`] timeline.
+//!   a timeline of per-window `(sum, count)` integers (16 B a window).
 //! * [`Scraper`] — polls a [`dsb_core::Simulation`] through *read-only*
 //!   hooks (worker-queue depth, in-flight requests, connection-pool
 //!   occupancy, per-machine core usage, drops) at a fixed sim-time

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use dsb_simcore::{Histogram, SimDuration, SimTime, WindowedSeries};
+use dsb_simcore::{SimDuration, SimTime};
 
 /// The label set a metric is keyed by. All dimensions are optional; a
 /// metric uses the ones that make sense for it (a worker-queue gauge has
@@ -132,16 +132,29 @@ pub enum Kind {
 #[derive(Debug)]
 struct Metric {
     kind: Kind,
-    series: WindowedSeries,
+    /// `(sum, count)` of the samples recorded in each window.
+    windows: Vec<(u64, u64)>,
     /// Last cumulative value seen (counters only).
     last: u64,
 }
 
+impl Metric {
+    fn add(&mut self, w: usize, value: u64) {
+        if w >= self.windows.len() {
+            self.windows.resize(w + 1, (0, 0));
+        }
+        let (sum, count) = &mut self.windows[w];
+        *sum += value;
+        *count += 1;
+    }
+}
+
 /// A deterministic store of metric timelines.
 ///
-/// Every `(name, labels)` pair maps to a [`WindowedSeries`]; counters are
-/// stored as per-scrape increments so window sums read back as "events in
-/// this window". Iteration is `BTreeMap`-ordered, never hashed.
+/// Every `(name, labels)` pair maps to the `(sum, count)` of the samples
+/// recorded in each window; counters are stored as per-scrape increments
+/// so window sums read back as "events in this window". Iteration is
+/// `BTreeMap`-ordered, never hashed.
 #[derive(Debug)]
 pub struct Registry {
     window: SimDuration,
@@ -151,7 +164,12 @@ pub struct Registry {
 impl Registry {
     /// Creates a registry whose series bucket samples into `window`-wide
     /// windows (normally the scrape interval).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
     pub fn new(window: SimDuration) -> Self {
+        assert!(window > SimDuration::ZERO, "window must be positive");
         Registry {
             window,
             metrics: BTreeMap::new(),
@@ -164,13 +182,12 @@ impl Registry {
     }
 
     fn entry(&mut self, name: &'static str, labels: Labels, kind: Kind) -> &mut Metric {
-        let window = self.window;
         let m = self
             .metrics
             .entry((name, labels))
             .or_insert_with(|| Metric {
                 kind,
-                series: WindowedSeries::new(window),
+                windows: Vec::new(),
                 last: 0,
             });
         debug_assert_eq!(
@@ -180,25 +197,32 @@ impl Registry {
         m
     }
 
+    fn window_of(&self, at: SimTime) -> usize {
+        (at.as_nanos() / self.window.as_nanos()) as usize
+    }
+
     /// Records an instantaneous sample.
     pub fn gauge(&mut self, name: &'static str, labels: Labels, at: SimTime, value: u64) {
-        self.entry(name, labels, Kind::Gauge)
-            .series
-            .record(at, value);
+        let w = self.window_of(at);
+        self.entry(name, labels, Kind::Gauge).add(w, value);
     }
 
     /// Records a monotone cumulative total; the increment since the last
     /// call is stored (a total below the previous one records 0).
     pub fn counter(&mut self, name: &'static str, labels: Labels, at: SimTime, total: u64) {
+        let w = self.window_of(at);
         let m = self.entry(name, labels, Kind::Counter);
         let delta = total.saturating_sub(m.last);
         m.last = total;
-        m.series.record(at, delta);
+        m.add(w, delta);
     }
 
-    /// The raw series for a metric, if it was ever recorded.
-    pub fn series(&self, name: &'static str, labels: &Labels) -> Option<&WindowedSeries> {
-        self.metrics.get(&(name, *labels)).map(|m| &m.series)
+    /// Number of windows in a metric's series (index of the last window
+    /// recorded + 1); 0 if the metric was never recorded.
+    pub fn window_count(&self, name: &'static str, labels: &Labels) -> usize {
+        self.metrics
+            .get(&(name, *labels))
+            .map_or(0, |m| m.windows.len())
     }
 
     /// Iterates over all recorded `(name, labels)` keys in stable order.
@@ -211,29 +235,36 @@ impl Registry {
     pub fn windows(&self) -> usize {
         self.metrics
             .values()
-            .map(|m| m.series.window_count())
+            .map(|m| m.windows.len())
             .max()
             .unwrap_or(0)
     }
 
-    fn merged(&self, name: &'static str, labels: &Labels, from: usize, to: usize) -> Histogram {
-        match self.series(name, labels) {
-            Some(s) => s.merged_range(from, to),
-            None => Histogram::compact(),
-        }
+    /// `(sum, count)` of the samples in windows `[from, to)`; windows
+    /// past the last one recorded are empty.
+    fn range(&self, name: &'static str, labels: &Labels, from: usize, to: usize) -> (u64, u64) {
+        let Some(m) = self.metrics.get(&(name, *labels)) else {
+            return (0, 0);
+        };
+        let windows = m.windows.get(from..to.min(m.windows.len()));
+        windows
+            .unwrap_or_default()
+            .iter()
+            .fold((0, 0), |(sum, count), &(s, c)| (sum + s, count + c))
     }
 
     /// Sum of samples over windows `[from, to)` — for counters, the total
-    /// increment over that span. Exact (sums are kept outside the
-    /// histogram buckets).
+    /// increment over that span.
     pub fn range_sum(&self, name: &'static str, labels: &Labels, from: usize, to: usize) -> u64 {
-        let h = self.merged(name, labels, from, to);
-        (h.mean() * h.count() as f64).round() as u64
+        self.range(name, labels, from, to).0
     }
 
     /// Mean of samples over windows `[from, to)` (0 if none).
     pub fn range_mean(&self, name: &'static str, labels: &Labels, from: usize, to: usize) -> f64 {
-        self.merged(name, labels, from, to).mean()
+        match self.range(name, labels, from, to) {
+            (_, 0) => 0.0,
+            (sum, count) => sum as f64 / count as f64,
+        }
     }
 
     /// Sum of samples in window `w`.
@@ -304,6 +335,19 @@ mod tests {
             2.0
         );
         assert_eq!(r.keys().count(), 2);
-        assert!(r.series(names::QUEUE_DEPTH, &Labels::service(9)).is_none());
+        assert_eq!(r.window_count(names::QUEUE_DEPTH, &Labels::service(1)), 1);
+        assert_eq!(r.window_count(names::QUEUE_DEPTH, &Labels::service(9)), 0);
+    }
+
+    /// Sums are kept as integers: a sample above 2^53 reads back exactly,
+    /// where a round trip through an `f64` mean would lose its last bit.
+    #[test]
+    fn range_sum_is_exact_above_f64_precision() {
+        let mut r = Registry::new(SimDuration::from_secs(1));
+        let l = Labels::service(0);
+        let v = (1 << 53) + 1;
+        r.gauge(names::SPAN_P99_NS, l, t(500), v);
+        assert_eq!(r.range_sum(names::SPAN_P99_NS, &l, 0, 1), v);
+        assert_eq!(r.window_sum(names::SPAN_P99_NS, &l, 0), v);
     }
 }

@@ -112,7 +112,7 @@ pub fn jsonl(
         let mut first = true;
         for r in 0..sim.request_type_count() {
             let lr = Labels::rtype(r as u32);
-            if reg.series(names::ISSUED, &lr).is_none() {
+            if reg.window_count(names::ISSUED, &lr) == 0 {
                 continue;
             }
             if !first {
@@ -126,7 +126,7 @@ pub fn jsonl(
                 reg.window_sum(names::COMPLETED, &lr, w),
                 reg.window_sum(names::REJECTED, &lr, w),
             );
-            if reg.series(names::SLO_TOTAL, &lr).is_some() {
+            if reg.window_count(names::SLO_TOTAL, &lr) > 0 {
                 let _ = write!(
                     out,
                     ",\"slo_good\":{},\"slo_total\":{}",

@@ -4,7 +4,7 @@
 use dsb_core::{MachineId, RequestType, ServiceId, Simulation};
 use dsb_simcore::{SimDuration, SimTime};
 
-use crate::registry::{names, Labels, Registry};
+use crate::registry::{names, Kind, Labels, Registry};
 use crate::slo::Slo;
 
 /// Scrapes a [`Simulation`] every `interval` of virtual time.
@@ -107,9 +107,8 @@ impl Scraper {
             let st = sim.service_stats(sid);
             reg.counter(names::INVOCATIONS, l, stamp, st.invocations);
             reg.counter(names::DROPPED, l, stamp, st.dropped);
-            if st.refill_misses > 0 || reg.series(names::REFILL_MISSES, &l).is_some() {
-                reg.counter(names::REFILL_MISSES, l, stamp, st.refill_misses);
-            }
+            let misses = st.refill_misses;
+            fault_series(reg, Kind::Counter, names::REFILL_MISSES, l, stamp, misses);
             for (e, &n) in st.endpoint_invocations.iter().enumerate() {
                 let le = l.with_endpoint(e as u32);
                 reg.counter(names::ENDPOINT_INVOCATIONS, le, stamp, n);
@@ -159,9 +158,7 @@ impl Scraper {
                 reg.counter(names::ISSUED, lr, stamp, rs.issued);
                 reg.counter(names::COMPLETED, lr, stamp, rs.completed);
                 reg.counter(names::REJECTED, lr, stamp, rs.rejected);
-                if rs.failed > 0 || reg.series(names::FAILED, &lr).is_some() {
-                    reg.counter(names::FAILED, lr, stamp, rs.failed);
-                }
+                fault_series(reg, Kind::Counter, names::FAILED, lr, stamp, rs.failed);
             }
         }
         for slo in &self.slos {
@@ -175,18 +172,33 @@ impl Scraper {
                 reg.counter(names::SLO_GOOD, lr, stamp, good);
             }
         }
-        // App-wide fault state: silent until the first fault fires, then
-        // sampled every window (zeros included) so recovery is visible.
+        // App-wide fault state, label-less.
         let l = Labels::default();
         let down = sim.instances_down();
-        if down > 0 || reg.series(names::INSTANCES_DOWN, &l).is_some() {
-            reg.gauge(names::INSTANCES_DOWN, l, stamp, down);
-        }
+        fault_series(reg, Kind::Gauge, names::INSTANCES_DOWN, l, stamp, down);
         let edges = sim.partition_edges();
-        if edges > 0 || reg.series(names::PARTITION_EDGES, &l).is_some() {
-            reg.gauge(names::PARTITION_EDGES, l, stamp, edges);
-        }
+        fault_series(reg, Kind::Gauge, names::PARTITION_EDGES, l, stamp, edges);
         self.scrapes += 1;
+    }
+}
+
+/// Records a fault series: silent until its first nonzero value, so
+/// fault-free runs carry none, then recorded every window (zeros
+/// included) so recovery is visible.
+fn fault_series(
+    reg: &mut Registry,
+    kind: Kind,
+    name: &'static str,
+    labels: Labels,
+    at: SimTime,
+    value: u64,
+) {
+    if value == 0 && reg.window_count(name, &labels) == 0 {
+        return;
+    }
+    match kind {
+        Kind::Counter => reg.counter(name, labels, at, value),
+        Kind::Gauge => reg.gauge(name, labels, at, value),
     }
 }
 

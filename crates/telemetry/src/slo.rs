@@ -83,9 +83,7 @@ pub struct Alert {
 /// a growing registry — results for completed windows never change).
 pub fn evaluate(reg: &Registry, slo: &Slo, rule: &BurnRule) -> Vec<Alert> {
     let labels = Labels::rtype(slo.rtype.0);
-    let n = reg
-        .series(names::SLO_TOTAL, &labels)
-        .map_or(0, |s| s.window_count());
+    let n = reg.window_count(names::SLO_TOTAL, &labels);
     let budget = slo.budget();
     let burn_over = |w: usize, wins: usize| -> f64 {
         let from = (w + 1).saturating_sub(wins.max(1));

@@ -10,6 +10,9 @@ use deathstarbench_sim::simcore::SimTime;
 use deathstarbench_sim::workload::{OpenLoop, UserPopulation};
 use std::fmt::Write as _;
 
+#[allow(unused_imports)] // not every test binary uses it
+pub use deathstarbench_sim::experiments::harness::totals;
+
 /// The reference cluster every fixture is pinned to: 8 Xeon servers on
 /// 2 racks plus 24 edge devices (needed by Swarm; harmless otherwise),
 /// tracing off.
@@ -30,19 +33,6 @@ pub fn run_fixed(app: &BuiltApp, qps: f64, secs: u64, seed: u64) -> Simulation {
     load.drive(&mut sim, SimTime::ZERO, SimTime::from_secs(secs), qps);
     sim.run_until_idle();
     sim
-}
-
-/// `(issued, completed, rejected)` summed over all request types.
-pub fn totals(sim: &Simulation) -> (u64, u64, u64) {
-    let mut t = (0, 0, 0);
-    for i in 0..sim.request_type_count() as u32 {
-        if let Some(st) = sim.request_stats(RequestType(i)) {
-            t.0 += st.issued;
-            t.1 += st.completed;
-            t.2 += st.rejected;
-        }
-    }
-    t
 }
 
 /// Renders the integer-only summary that golden fixtures pin: request

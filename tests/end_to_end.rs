@@ -5,6 +5,7 @@
 use deathstarbench_sim::apps::{self, BuiltApp};
 use deathstarbench_sim::cluster::{Autoscaler, ScalePolicy};
 use deathstarbench_sim::core::{ClusterSpec, MachineSpec, RequestType, ServiceId, Simulation};
+use deathstarbench_sim::experiments::harness::totals;
 use deathstarbench_sim::simcore::{SimDuration, SimTime};
 use deathstarbench_sim::trace::critical_path;
 use deathstarbench_sim::workload::{OpenLoop, UserPopulation};
@@ -27,17 +28,6 @@ fn run(app: &BuiltApp, qps: f64, secs: u64, seed: u64) -> Simulation {
     sim
 }
 
-fn totals(sim: &Simulation) -> (u64, u64) {
-    let mut t = (0, 0);
-    for i in 0..16u32 {
-        if let Some(st) = sim.request_stats(RequestType(i)) {
-            t.0 += st.issued;
-            t.1 += st.completed;
-        }
-    }
-    t
-}
-
 /// Every application runs end to end with zero lost requests and sane
 /// latency, and every service that the mix exercises records spans.
 #[test]
@@ -52,7 +42,7 @@ fn all_six_applications_conserve_requests() {
     ];
     for (i, app) in suite.iter().enumerate() {
         let sim = run(app, 40.0, 6, 10 + i as u64);
-        let (issued, completed) = totals(&sim);
+        let (issued, completed, _) = totals(&sim);
         assert!(issued > 100, "{}: issued {issued}", app.spec.name);
         assert_eq!(issued, completed, "{}: lost requests", app.spec.name);
         // The mix must exercise a decent fraction of the graph.
@@ -180,7 +170,7 @@ fn full_stack_determinism() {
     let digest = |seed: u64| {
         let app = apps::media::media_service();
         let sim = run(&app, 60.0, 4, seed);
-        let (issued, completed) = totals(&sim);
+        let (issued, completed, _) = totals(&sim);
         let mut lat = 0u64;
         for i in 0..16u32 {
             if let Some(st) = sim.request_stats(RequestType(i)) {
