@@ -121,7 +121,7 @@ if [ "$lint_wall" -gt "$LINT_BUDGET_S" ]; then
     exit 1
 fi
 
-echo "==> engine self-checks: dsb-simcore + dsb-core + dsb-trace + dsb-telemetry tests, the chaos suite and parallel conformance with debug assertions and overflow checks (outside the budget)"
+echo "==> engine self-checks: dsb-simcore + dsb-core + dsb-trace + dsb-telemetry tests, the chaos, parallel conformance and determinism suites with debug assertions and overflow checks (outside the budget)"
 # Every other step builds --release, where debug_assert! and integer
 # overflow checks compile out, so the engine's own invariants (wheel
 # order, lookahead floor, slot liveness, the shard tag of every span a
@@ -133,7 +133,11 @@ echo "==> engine self-checks: dsb-simcore + dsb-core + dsb-trace + dsb-telemetry
 # assertions (the hop's lookahead floor, a cut request leaving from its
 # caller's shard) run too. The conformance suite runs the epoch
 # driver's, the wheel's and the trace sync's assertions under the real
-# model at 2, 3, 4 and 8 threads. About 90 s cold.
+# model at 2, 3, 4 and 8 threads. The determinism suite's
+# slicing_does_not_change_merged_views syncs the merged trace view
+# hundreds of times (450 one-ms slices and 64 irregular ones, at workers
+# 1 and 4), so the sync's shard-tag assertion and the overflow checks on
+# the integer sums it hands over run on every one. About 100 s cold.
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
     CARGO_TARGET_DIR=target/checked \
@@ -142,7 +146,8 @@ CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
     CARGO_TARGET_DIR=target/checked \
-    cargo test -q --release --offline --test chaos --test parallel_conformance
+    cargo test -q --release --offline --test chaos --test parallel_conformance \
+    --test determinism
 
 echo "==> perfsuite: cargo test + fmt --check (own package, outside the budget)"
 # perfsuite/ is a standalone package the workspace does not build, so a

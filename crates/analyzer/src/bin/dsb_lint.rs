@@ -7,9 +7,8 @@
 //!    entry point, the golden-fixture load as the offered load, the
 //!    golden-fixture cluster as the placement target, and each app's
 //!    p99 QoS target as the SLO (so the DSB011 machine-budget and the
-//!    DSB012/DSB013 calibration passes run too). Every
-//!    diagnostic must appear in the annotated [`EXPECTED`] table below;
-//!    anything unexpected (and any stale annotation) fails the gate.
+//!    DSB012/DSB013 calibration passes run too). Every app must analyze
+//!    clean: any diagnostic fails the gate.
 //!    Each app also prints its DSB015 lookahead certificate — the
 //!    minimum safe epoch a conservative parallel engine could use.
 //! 2. **Source pass** — runs the determinism lint over the simulator's
@@ -22,7 +21,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use dsb_analyzer::{lint_sources, lookahead_certificate, Allowlist, Analyzer, Severity};
+use dsb_analyzer::{lint_sources, lookahead_certificate, Allowlist, Analyzer};
 use dsb_core::{ClusterSpec, MachineSpec};
 
 /// The reference cluster of `tests/common/mod.rs::fixed_cluster()`: 8
@@ -38,25 +37,12 @@ fn fixture_cluster() -> ClusterSpec {
     cluster
 }
 
-/// Diagnostics the eight shipped apps are *expected* to produce, each
-/// with the reason it is accepted rather than fixed:
-/// `(app, code, service, reason)`; `"*"` matches every service. The
-/// exact per-service list is pinned by `tests/goldens/analyzer_report.txt`,
-/// so wildcards here cannot mask new findings.
-///
-/// Currently empty: the single-shard (DSB008) and one-sided endpoint
-/// pair (DSB010) defects this table used to accept were fixed for real
-/// — every sharded store now runs >= 2 shards and every cache/DB
-/// endpoint pair is exercised from both sides.
-const EXPECTED: &[(&str, &str, &str, &str)] = &[];
-
 fn main() -> ExitCode {
     let repo_root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut failed = false;
 
     println!("== dsb-lint: spec pass (8 built-in apps) ==");
     let cluster = fixture_cluster();
-    let mut seen_expected = vec![false; EXPECTED.len()];
     for (name, qps, app) in dsb_apps::all_builtin() {
         let mut an = Analyzer::new(&app.spec)
             .entry(app.frontend)
@@ -68,31 +54,13 @@ fn main() -> ExitCode {
             an = an.offered(e.entry, qps * e.weight / total_weight);
         }
         let diags = an.run();
-        let mut unexpected = 0;
         for d in &diags {
-            let hit = EXPECTED.iter().position(|&(a, c, s, _)| {
-                a == name && c == d.code.as_str() && (s == "*" || s == d.service_name)
-            });
-            match hit {
-                Some(i) => seen_expected[i] = true,
-                None => {
-                    unexpected += 1;
-                    if d.severity >= Severity::Error {
-                        failed = true;
-                    }
-                    println!("  {name}: {d}");
-                }
-            }
+            println!("  {name}: {d}");
         }
-        if unexpected == 0 {
-            let note = if diags.len() > unexpected {
-                " (expected diagnostics annotated)"
-            } else {
-                ""
-            };
-            println!("  {name}: clean{note}");
+        if diags.is_empty() {
+            println!("  {name}: clean");
         } else {
-            failed = true; // unexpected warnings also fail: annotate or fix
+            failed = true; // any diagnostic fails: fix the app
         }
         // The DSB015 certificate: how far a conservative parallel
         // engine could advance each shard between synchronizations.
@@ -110,13 +78,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    for (i, &(app, code, svc, reason)) in EXPECTED.iter().enumerate() {
-        if !seen_expected[i] {
-            println!("  stale expectation: {app} {code} {svc} ({reason}) no longer fires");
-            failed = true;
-        }
-    }
-
     println!("== dsb-lint: source pass (determinism hazards) ==");
     let allow_path = repo_root.join("determinism_allow.txt");
     let mut allow = match Allowlist::load(&allow_path) {

@@ -4,7 +4,8 @@
 //! — machine crash + restart, cache-shard loss with cold refill,
 //! network partition, NIC degradation, and edge-node churn. The plan is
 //! *pure data*: [`ChaosPlan::schedule`] expands it into a sorted list of
-//! concrete boundary actions, and [`Simulation::install_chaos`]
+//! concrete boundary actions, each tagged with the plan event it comes
+//! from, and [`Simulation::install_chaos`]
 //! (`crates/core/src/sim.rs`) applies each action between event runs —
 //! exactly the way the existing control surface (instance scaling)
 //! already synchronizes with both the serial and the sharded epoch
@@ -166,13 +167,6 @@ pub enum ChaosAction {
         /// Sender-side failure timeout.
         timeout: SimDuration,
     },
-    /// Heal a partition.
-    EndPartition {
-        /// One side of the cut.
-        a: Vec<MachineId>,
-        /// The other side.
-        b: Vec<MachineId>,
-    },
     /// Start multiplying delays at the given machines' NICs.
     StartDegrade {
         /// Degraded machines.
@@ -180,11 +174,9 @@ pub enum ChaosAction {
         /// Delay multiplier (≥ 1.0).
         factor: f64,
     },
-    /// End a NIC degradation.
-    EndDegrade {
-        /// Previously degraded machines.
-        machines: Vec<MachineId>,
-    },
+    /// Heal the partition or end the NIC degradation that the same plan
+    /// event started: the simulator finds it by the event's index.
+    EndNetFault,
 }
 
 /// The ground-truth record of one injected fault: what a perfect
@@ -214,20 +206,12 @@ impl ChaosPlan {
         }
     }
 
-    /// Expands the plan into concrete `(time, action)` boundary pairs,
-    /// sorted by time (stable: ties keep event order). Pure function of
-    /// the plan — the simulator and the scorer both rely on that.
-    pub fn schedule(&self) -> Vec<(SimTime, ChaosAction)> {
-        self.tagged_schedule()
-            .into_iter()
-            .map(|(t, _, action)| (t, action))
-            .collect()
-    }
-
-    /// [`ChaosPlan::schedule`] with each action tagged by the index of
-    /// the event it comes from, so an end action can find the one fault
-    /// its own start began.
-    pub(crate) fn tagged_schedule(&self) -> Vec<(SimTime, usize, ChaosAction)> {
+    /// Expands the plan into concrete `(time, event index, action)`
+    /// boundary actions, sorted by time (stable: ties keep event order).
+    /// The index names the plan event an action comes from, so an end
+    /// action can find the one fault its own start began. Pure function
+    /// of the plan — the simulator relies on that.
+    pub fn schedule(&self) -> Vec<(SimTime, usize, ChaosAction)> {
         let mut out: Vec<(SimTime, usize, ChaosAction)> = Vec::new();
         for (i, ev) in self.events.iter().enumerate() {
             match ev {
@@ -288,14 +272,7 @@ impl ChaosPlan {
                             timeout: *timeout,
                         },
                     ));
-                    out.push((
-                        *until,
-                        i,
-                        ChaosAction::EndPartition {
-                            a: a.clone(),
-                            b: b.clone(),
-                        },
-                    ));
+                    out.push((*until, i, ChaosAction::EndNetFault));
                 }
                 ChaosEvent::NicDegrade {
                     machines,
@@ -311,13 +288,7 @@ impl ChaosPlan {
                             factor: factor.max(1.0),
                         },
                     ));
-                    out.push((
-                        *until,
-                        i,
-                        ChaosAction::EndDegrade {
-                            machines: machines.clone(),
-                        },
-                    ));
+                    out.push((*until, i, ChaosAction::EndNetFault));
                 }
                 ChaosEvent::EdgeChurn {
                     machines,
@@ -456,7 +427,7 @@ mod tests {
                 until: SimTime::from_secs(1),
             }],
         };
-        match &plan.schedule()[0].1 {
+        match &plan.schedule()[0].2 {
             ChaosAction::StartDegrade { factor, .. } => assert_eq!(*factor, 1.0),
             other => panic!("expected degrade, got {other:?}"),
         }

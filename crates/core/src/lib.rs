@@ -16,9 +16,8 @@
 //!   HTTP/1-style protocols, load-balancing policies, and on-demand
 //!   (serverless) worker spawning with cold starts.
 //! * **Instrumentation**: per-RPC spans feeding a `dsb-trace` collector,
-//!   per-service execution-domain accounting (kernel/user/libs), machine
-//!   and worker utilization, and per-request-type latency with QoS
-//!   windows.
+//!   per-service execution-domain accounting (kernel/user/libs), worker
+//!   occupancy, and per-request-type latency with QoS windows.
 //! * **Control surface**: instance scaling with startup delays, machine
 //!   frequency changes (RAPL / slow servers), FPGA offload toggling,
 //!   misrouting injection, and admission control — everything the paper's

@@ -39,7 +39,6 @@ use std::sync::Arc;
 use dsb_net::{Fabric, FpgaOffload, MsgCosts, Nic, Protocol, Zone};
 use dsb_simcore::{
     mix64, run_epochs, EpochShard, Outbox, Rng, Scheduler, SimDuration, SimTime, Transfer,
-    UtilizationTracker,
 };
 use dsb_trace::{ShardCollector, Span, SpanId, TraceCollector, TraceId};
 use dsb_uarch::{CoreModel, ExecDomain};
@@ -352,7 +351,6 @@ struct MachineRt {
     busy: u32,
     /// Pool tickets of queued [`CoreJob`]s awaiting a free core.
     run_queue: VecDeque<u32>,
-    util: UtilizationTracker,
 }
 
 #[derive(Debug)]
@@ -859,7 +857,6 @@ impl ShardState {
         let m = self.machine.as_mut().expect("compute on a machine shard");
         if m.busy < m.cores {
             m.busy += 1;
-            m.util.add_busy(now, now + dur);
             sink.local(now + dur, key, Ev::CoreJobDone { job: id });
         } else {
             m.run_queue.push_back(id);
@@ -878,8 +875,6 @@ impl ShardState {
             Some(n) => {
                 let dur = self.job_pool.get(n).dur;
                 let key = self.mint();
-                let m = self.machine.as_mut().expect("machine shard");
-                m.util.add_busy(now, now + dur);
                 sink.local(now + dur, key, Ev::CoreJobDone { job: n });
             }
             None => {
@@ -2000,16 +1995,10 @@ pub struct Simulation {
     chaos_plan: Option<ChaosPlan>,
     placer: crate::placement::Placer,
     instance_startup: SimDuration,
-    /// Cluster-wide service stats, re-folded after every run in shard
-    /// order (0, 1, 2, …) so the floating-point sums are bit-stable.
-    merged_stats: Vec<ServiceStats>,
-    /// Cluster-wide trace view, synced incrementally after every run:
-    /// only services with new spans are re-merged, and the spans each
-    /// shard kept since the last sync move here (see
+    /// Cluster-wide trace view: after every run, the aggregates and
+    /// kept spans each shard recorded during it move here (see
     /// [`TraceCollector::sync_from`]).
     merged_collector: TraceCollector,
-    /// Event count at the last merge — skips rebuilds when nothing ran.
-    merged_events: u64,
 }
 
 impl Simulation {
@@ -2057,7 +2046,6 @@ impl Simulation {
                     nic: Nic::new(m.nic_gbps),
                     busy: 0,
                     run_queue: VecDeque::with_capacity(16),
-                    util: UtilizationTracker::new(cluster.window, m.cores),
                 });
                 ShardState {
                     shard: i as u16,
@@ -2096,9 +2084,7 @@ impl Simulation {
             chaos_plan: None,
             placer,
             instance_startup: cluster.instance_startup,
-            merged_stats: vec![ServiceStats::default(); nsvc],
             merged_collector: TraceCollector::new(cluster.window, cluster.trace_sample_prob, cseed),
-            merged_events: 0,
         };
         for sid in 0..nsvc {
             for _ in 0..sim.shared.app.services[sid].initial_instances {
@@ -2170,7 +2156,7 @@ impl Simulation {
     /// epoch engine stays conservative (the DSB015 floor). The plan is
     /// retained as ground truth, exposed via [`Simulation::chaos_plan`].
     pub fn install_chaos(&mut self, plan: &ChaosPlan) {
-        for (t, id, action) in plan.tagged_schedule() {
+        for (t, id, action) in plan.schedule() {
             // Boundary 0 would precede the first event run; shift to 1.
             let at = t.as_nanos().max(1);
             self.boundaries
@@ -2222,13 +2208,10 @@ impl Simulation {
                     self.net_chaos().set(id, Some(cut));
                 }
                 ChaosAction::StartDegrade { machines, factor } => {
-                    let factor = factor.max(1.0);
                     let degrade = NetFault::Degrade { machines, factor };
                     self.net_chaos().set(id, Some(degrade));
                 }
-                ChaosAction::EndPartition { .. } | ChaosAction::EndDegrade { .. } => {
-                    self.net_chaos().set(id, None)
-                }
+                ChaosAction::EndNetFault => self.net_chaos().set(id, None),
             }
         }
         self.clock_floor = self.clock_floor.max(tc);
@@ -2395,7 +2378,9 @@ impl Simulation {
             self.apply_boundary(tc, boundary);
         }
         self.run_events(t_ns);
-        self.refresh_merged();
+        let mut collectors: Vec<&mut ShardCollector> =
+            self.shards.iter_mut().map(|s| &mut s.collector).collect();
+        self.merged_collector.sync_from(&mut collectors);
     }
 
     /// Sets the number of worker threads used by subsequent runs, with
@@ -2481,23 +2466,6 @@ impl Simulation {
 
     // -- Merged views --------------------------------------------------------
 
-    fn refresh_merged(&mut self) {
-        let ev = self.events_processed();
-        if ev == self.merged_events {
-            return;
-        }
-        self.merged_events = ev;
-        for (sid, s) in self.merged_stats.iter_mut().enumerate() {
-            s.clone_from(&self.shards[0].stats[sid]);
-            for shard in &self.shards[1..] {
-                s.merge(&shard.stats[sid]);
-            }
-        }
-        let mut collectors: Vec<&mut ShardCollector> =
-            self.shards.iter_mut().map(|s| &mut s.collector).collect();
-        self.merged_collector.sync_from(&mut collectors);
-    }
-
     /// The application being simulated.
     pub fn app(&self) -> &AppSpec {
         &self.shared.app
@@ -2512,18 +2480,26 @@ impl Simulation {
             .get(rtype.0 as usize)
     }
 
-    /// Execution statistics for a service, merged across shards.
-    pub fn service_stats(&self, service: ServiceId) -> &ServiceStats {
-        &self.merged_stats[service.0 as usize]
+    /// Execution statistics for a service, folded across shards on each
+    /// call. The fold runs in shard order (0, 1, 2, …), so the
+    /// floating-point sums are bit-identical at every worker count.
+    pub fn service_stats(&self, service: ServiceId) -> ServiceStats {
+        let sid = service.0 as usize;
+        let mut out = self.shards[0].stats[sid].clone();
+        for shard in &self.shards[1..] {
+            out.merge(&shard.stats[sid]);
+        }
+        out
     }
 
     /// The distributed-tracing collector (merged across shards).
     ///
-    /// A kept span lives only here: each shard holds the spans it kept
-    /// during the current run, and the merge after the run moves them
-    /// in. A kept trace costs its spans (80 bytes each) in one `Vec`
-    /// sized to the trace, plus one map entry; spans of dropped traces
-    /// cost only their share of the per-service aggregates.
+    /// Trace aggregates and kept spans live only here: each shard holds
+    /// what it recorded during the current run, and the sync after the
+    /// run moves it in. A kept trace costs its spans (80 bytes each) in
+    /// one `Vec` sized to the trace, plus one map entry; spans of
+    /// dropped traces cost only their share of the per-service
+    /// aggregates.
     pub fn collector(&self) -> &TraceCollector {
         &self.merged_collector
     }
@@ -2575,16 +2551,6 @@ impl Simulation {
             .iter()
             .map(|i| self.inst_rt(*i).inflight as u64)
             .sum()
-    }
-
-    /// Mean core utilization of machine `m` in window `w`.
-    pub fn machine_utilization(&self, m: MachineId, w: usize) -> f64 {
-        self.shards[m.0 as usize]
-            .machine
-            .as_ref()
-            .expect("machine shard")
-            .util
-            .utilization(w)
     }
 
     /// Number of machines in the cluster.

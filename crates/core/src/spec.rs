@@ -692,7 +692,8 @@ pub struct ClusterSpec {
     pub instance_startup: dsb_simcore::SimDuration,
     /// Trace sampling probability (see `dsb-trace`).
     pub trace_sample_prob: f64,
-    /// Width of metric windows (heatmaps, utilization).
+    /// Width of metric windows (span-latency heatmaps, request-latency
+    /// timelines).
     pub window: dsb_simcore::SimDuration,
     /// CPU scheduling quantum: compute steps longer than this run as
     /// round-robin timeslices (OS preemption). `SimDuration::MAX`

@@ -202,22 +202,6 @@ fn branch_nesting_depth_is_handled() {
 }
 
 #[test]
-fn machine_utilization_reflects_load() {
-    let (spec, ep, _svc) = one_service(64, 1, LbPolicy::RoundRobin, Concurrency::Blocking, 200.0);
-    let mut sim = Simulation::new(spec, ClusterSpec::xeon_cluster(1, 1), 9);
-    // 5000 qps x 200us = 1 core-second/s on a 40-core machine => ~2.5%.
-    for i in 0..5000u64 {
-        sim.inject(SimTime::from_micros(i * 200), ep, RequestType(0), 64, i);
-    }
-    sim.run_until_idle();
-    let u = sim.machine_utilization(dsb_core::MachineId(0), 0);
-    assert!(
-        (0.01..0.10).contains(&u),
-        "machine utilization {u} out of expected band"
-    );
-}
-
-#[test]
 fn response_sizes_affect_latency_via_nic_and_processing() {
     let run = |resp_bytes: f64| {
         let mut app = AppBuilder::new("t");

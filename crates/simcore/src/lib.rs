@@ -16,8 +16,8 @@
 //! * [`Dist`] — service-time / size distributions (constant, uniform,
 //!   exponential, Erlang, log-normal, bounded Pareto, mixtures).
 //! * [`Zipf`] — skewed popularity sampling.
-//! * [`Histogram`], [`WindowedSeries`], [`MeanVar`], [`Counter`] — latency
-//!   and utilization metrics with quantile extraction.
+//! * [`Histogram`], [`WindowedSeries`] — latency metrics with quantile
+//!   extraction, over a whole run or per time window.
 //!
 //! # Example
 //!
@@ -63,7 +63,7 @@ mod time;
 pub use dist::{Dist, Zipf};
 pub use engine::{Model, Scheduler};
 pub use epoch::{run_epochs, EpochShard, Outbox, Transfer};
-pub use metrics::{Counter, Histogram, MeanVar};
+pub use metrics::Histogram;
 pub use rng::{mix64, Rng};
-pub use series::{UtilizationTracker, WindowedSeries};
+pub use series::WindowedSeries;
 pub use time::{SimDuration, SimTime};

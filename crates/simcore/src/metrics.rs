@@ -1,5 +1,4 @@
-//! Latency and throughput metrics: log-bucketed histograms with quantile
-//! extraction, streaming mean/variance, and simple counters.
+//! Latency metrics: log-bucketed histograms with quantile extraction.
 
 use crate::time::SimDuration;
 
@@ -100,11 +99,6 @@ impl Histogram {
         self.min = self.min.min(value);
     }
 
-    /// Records a duration in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos());
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -166,11 +160,6 @@ impl Histogram {
         SimDuration::from_nanos(self.quantile(q))
     }
 
-    /// Mean as a [`SimDuration`] (samples interpreted as ns).
-    pub fn mean_duration(&self) -> SimDuration {
-        SimDuration::from_nanos(self.mean() as u64)
-    }
-
     /// Number of samples `<= value`, within the bucket precision (samples
     /// are attributed to their bucket's upper bound, so the estimate may
     /// undercount by up to one bucket's width). Monotone in `value` and in
@@ -207,111 +196,6 @@ impl Histogram {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
         self.min = self.min.min(other.min);
-    }
-
-    /// Clears all samples, keeping the precision.
-    pub fn reset(&mut self) {
-        self.buckets.clear();
-        self.count = 0;
-        self.sum = 0;
-        self.max = 0;
-        self.min = u64::MAX;
-    }
-}
-
-/// Streaming mean and variance (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use dsb_simcore::MeanVar;
-///
-/// let mut mv = MeanVar::default();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     mv.record(x);
-/// }
-/// assert_eq!(mv.mean(), 5.0);
-/// assert!((mv.variance() - 4.571428).abs() < 1e-5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MeanVar {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl MeanVar {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of the observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (0 if fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
-/// A monotone event counter with a helper for rates over a window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Events per second over the given span (0 for a zero span).
-    pub fn rate(self, over: SimDuration) -> f64 {
-        let secs = over.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.0 as f64 / secs
-        }
     }
 }
 
@@ -386,15 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_reset() {
-        let mut h = Histogram::default();
-        h.record(5);
-        h.reset();
-        assert!(h.is_empty());
-        assert_eq!(h.quantile(0.5), 0);
-    }
-
-    #[test]
     fn count_le_tracks_cdf() {
         let mut h = Histogram::default();
         for v in 1..=1000u64 {
@@ -448,23 +323,5 @@ mod tests {
         let mut a = Histogram::new(5);
         let b = Histogram::new(3);
         a.merge(&b);
-    }
-
-    #[test]
-    fn meanvar_single_value() {
-        let mut mv = MeanVar::new();
-        mv.record(42.0);
-        assert_eq!(mv.mean(), 42.0);
-        assert_eq!(mv.variance(), 0.0);
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::new();
-        c.add(100);
-        c.incr();
-        assert_eq!(c.get(), 101);
-        assert!((c.rate(SimDuration::from_secs(10)) - 10.1).abs() < 1e-9);
-        assert_eq!(c.rate(SimDuration::ZERO), 0.0);
     }
 }

@@ -2,8 +2,7 @@
 //! on the in-repo `dsb-testkit` engine.
 
 use dsb_simcore::{
-    Dist, Histogram, MeanVar, Model, Rng, Scheduler, SimDuration, SimTime, UtilizationTracker,
-    WindowedSeries, Zipf,
+    Dist, Histogram, Model, Rng, Scheduler, SimDuration, SimTime, WindowedSeries, Zipf,
 };
 use dsb_testkit::{gen, prop, prop_assert, prop_assert_eq};
 
@@ -102,33 +101,6 @@ fn histogram_merge_union() {
             }
             prop_assert_eq!(ha.max(), hu.max());
             prop_assert_eq!(ha.min(), hu.min());
-            Ok(())
-        }
-    );
-}
-
-// ---------------------------------------------------------------------------
-// MeanVar
-// ---------------------------------------------------------------------------
-
-/// Welford matches the naive two-pass computation.
-#[test]
-fn meanvar_matches_naive() {
-    prop!(
-        |rng| gen::vec_with(rng, 2, 200, |r| gen::f64_in(r, -1e6, 1e6)),
-        |values: &Vec<f64>| {
-            if values.len() < 2 {
-                return Ok(());
-            }
-            let mut mv = MeanVar::new();
-            for &v in values {
-                mv.record(v);
-            }
-            let n = values.len() as f64;
-            let mean = values.iter().sum::<f64>() / n;
-            let var = values.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-            prop_assert!((mv.mean() - mean).abs() <= mean.abs() * 1e-9 + 1e-6);
-            prop_assert!((mv.variance() - var).abs() <= var.abs() * 1e-6 + 1e-3);
             Ok(())
         }
     );
@@ -283,38 +255,8 @@ fn scheduler_total_order() {
 }
 
 // ---------------------------------------------------------------------------
-// Utilization / windows
+// Windowed series
 // ---------------------------------------------------------------------------
-
-/// Busy time is conserved: the per-window sums equal the interval sum.
-#[test]
-fn utilization_conserves_busy_time() {
-    prop!(
-        |rng| {
-            gen::vec_with(rng, 0, 50, |r| {
-                (gen::u64_in(r, 0, 100_000), gen::u64_in(r, 1, 50_000))
-            })
-        },
-        |intervals: &Vec<(u64, u64)>| {
-            let window = SimDuration::from_micros(10);
-            let mut u = UtilizationTracker::new(window, 1);
-            let mut total = 0u64;
-            for &(start, len) in intervals {
-                let len = len.max(1);
-                u.add_busy(SimTime::from_nanos(start), SimTime::from_nanos(start + len));
-                total += len;
-            }
-            let tracked: f64 = (0..u.window_count())
-                .map(|i| u.utilization(i) * window.as_nanos() as f64)
-                .sum();
-            prop_assert!(
-                (tracked - total as f64).abs() < 1.0,
-                "tracked {tracked} vs {total}"
-            );
-            Ok(())
-        }
-    );
-}
 
 /// A sample landing exactly on a window edge is assigned to exactly one
 /// window (the one opening at that instant), and counts are conserved
@@ -374,7 +316,7 @@ fn windowed_series_conserves_counts() {
             }
             let total: u64 = (0..s.window_count()).map(|i| s.count(i)).sum();
             prop_assert_eq!(total, samples.len() as u64);
-            prop_assert_eq!(s.total().count(), samples.len() as u64);
+            prop_assert_eq!(s.merged_range(0, usize::MAX).count(), samples.len() as u64);
             Ok(())
         }
     );

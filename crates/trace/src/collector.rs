@@ -53,27 +53,20 @@ impl ServiceTraceStats {
         }
     }
 
-    /// Re-folds this service's aggregates from `parts` (the same service
-    /// on every shard) unless their summed span count is unchanged.
-    /// Every field is an integer, so the fold is exact in any order.
-    fn sync_from(&mut self, parts: &[&ServiceTraceStats]) {
-        let spans: u64 = parts.iter().map(|p| p.spans).sum();
-        if spans == self.spans {
+    /// Moves `part`'s aggregates (this service, as one shard recorded it
+    /// since the last sync) into these, leaving `part` empty. Every
+    /// field is an integer, so the merge is exact in any order.
+    fn absorb(&mut self, part: &mut ServiceTraceStats) {
+        if part.spans == 0 {
             return;
         }
-        self.latency.reset();
-        self.queue_ns = 0;
-        self.app_ns = 0;
-        self.net_ns = 0;
-        for p in parts {
-            self.latency.merge(&p.latency);
-            self.queue_ns += p.queue_ns;
-            self.app_ns += p.app_ns;
-            self.net_ns += p.net_ns;
-        }
-        let windows: Vec<&WindowedSeries> = parts.iter().map(|p| &p.latency_windows).collect();
-        self.latency_windows.sync_from(&windows);
-        self.spans = spans;
+        let part = std::mem::replace(part, ServiceTraceStats::new(self.latency_windows.window()));
+        self.latency.merge(&part.latency);
+        self.latency_windows.merge(&part.latency_windows);
+        self.queue_ns += part.queue_ns;
+        self.app_ns += part.app_ns;
+        self.net_ns += part.net_ns;
+        self.spans += part.spans;
     }
 }
 
@@ -88,10 +81,10 @@ impl ServiceTraceStats {
 /// A collector used on its own records kept spans straight into its
 /// trace map. A sharded run instead records into one
 /// [`ShardCollector`] per shard and brings a merged collector up to
-/// date with [`TraceCollector::sync_from`], which moves each kept span
-/// into the merged map: a kept span is stored once, at 80 bytes plus
-/// its trace's share of one map entry and one `Vec` sized to the
-/// trace.
+/// date with [`TraceCollector::sync_from`], which moves each shard's
+/// aggregates and kept spans into the merged view: every statistic is
+/// stored once, and a kept span costs 80 bytes plus its trace's share
+/// of one map entry and one `Vec` sized to the trace.
 ///
 /// # Example
 ///
@@ -202,21 +195,22 @@ impl TraceCollector {
     }
 
     /// Brings this collector up to date as the merge of `shards`, in
-    /// slice order (shard 0, 1, 2, …), at a cost that follows what the
-    /// shards recorded since the last sync rather than the run so far.
+    /// slice order (shard 0, 1, 2, …), by moving everything each shard
+    /// recorded since the last sync in here and leaving the shard empty,
+    /// so no sync re-reads what an earlier one moved.
     ///
-    /// The result equals a from-scratch fold of every shard in slice
-    /// order: each sampled trace is the concatenation of its spans on
-    /// shard 0, then shard 1, …, each shard's in record order, so
-    /// serialized trace output is deterministic. Each shard's kept spans
-    /// move here (its log is left empty): one map lookup per trace and
-    /// shard, and the trace's `Vec` grows to exactly its new length. A
-    /// span from shard `i` goes after the trace's spans from shards ≤
-    /// `i` and before any from later shards, so a trace that straddles
-    /// syncs keeps the order a single fold gives it. Only services whose
-    /// summed span count moved are re-folded. This collector must be
-    /// written only by syncs from the same shards, and never record
-    /// spans itself.
+    /// The result equals one collector that recorded every span itself,
+    /// except for the order of each sampled trace's spans: the
+    /// concatenation of its spans on shard 0, then shard 1, …, each
+    /// shard's in record order, so serialized trace output is
+    /// deterministic. Per-service aggregates and the dropped count are
+    /// integers and merge exactly in any order. Each shard's kept spans
+    /// move with one map lookup per trace and shard, and the trace's
+    /// `Vec` grows to exactly its new length. A span from shard `i` goes
+    /// after the trace's spans from shards ≤ `i` and before any from
+    /// later shards, so a trace that straddles syncs keeps the order a
+    /// single fold gives it. This collector must be written only by
+    /// syncs from the same shards, and never record spans itself.
     ///
     /// Every span kept by `shards[i]` must carry `i` in the top 16 bits
     /// of its id, as the simulator's `(shard << 48) | counter` span ids
@@ -229,26 +223,23 @@ impl TraceCollector {
     /// sampling probability, or sampling seed — merged verdicts would be
     /// inconsistent otherwise.
     pub fn sync_from(&mut self, shards: &mut [&mut ShardCollector]) {
-        let mut nsvc = self.services.len();
-        for s in shards.iter() {
-            let s = &s.local;
+        let w = self.window;
+        for (i, s) in shards.iter_mut().enumerate() {
+            let local = &mut s.local;
             assert!(
-                self.window == s.window && self.sample_prob == s.sample_prob && self.seed == s.seed,
+                self.window == local.window
+                    && self.sample_prob == local.sample_prob
+                    && self.seed == local.seed,
                 "cannot merge collectors with different configurations"
             );
-            nsvc = nsvc.max(s.services.len());
-        }
-        let w = self.window;
-        self.services
-            .resize_with(nsvc, || ServiceTraceStats::new(w));
-        for (i, mine) in self.services.iter_mut().enumerate() {
-            let parts: Vec<&ServiceTraceStats> = shards
-                .iter()
-                .filter_map(|s| s.local.services.get(i))
-                .collect();
-            mine.sync_from(&parts);
-        }
-        for (i, s) in shards.iter_mut().enumerate() {
+            if local.services.len() > self.services.len() {
+                self.services
+                    .resize_with(local.services.len(), || ServiceTraceStats::new(w));
+            }
+            for (mine, part) in self.services.iter_mut().zip(&mut local.services) {
+                mine.absorb(part);
+            }
+            self.dropped += std::mem::take(&mut local.dropped);
             // Stable, so each trace's spans keep their record order.
             s.kept.sort_by_key(|span| span.trace);
             for group in s.kept.chunk_by(|a, b| a.trace == b.trace) {
@@ -264,7 +255,6 @@ impl TraceCollector {
             }
             s.kept.clear();
         }
-        self.dropped = shards.iter().map(|s| s.local.dropped).sum();
     }
 
     /// Aggregates for service `id`, if any span was recorded for it.
@@ -293,15 +283,15 @@ impl TraceCollector {
     }
 }
 
-/// One shard's side of a sharded [`TraceCollector`]: the shard's
-/// per-service aggregates, plus the spans it kept since the last
-/// [`TraceCollector::sync_from`], in record order. The sync moves those
-/// spans into the merged collector, so between syncs a shard holds only
-/// the spans of its latest run slice.
+/// One shard's side of a sharded [`TraceCollector`]: the per-service
+/// aggregates, dropped count and kept spans the shard recorded since the
+/// last [`TraceCollector::sync_from`], kept spans in record order. The
+/// sync moves all of it into the merged collector, so between syncs a
+/// shard holds only what it recorded in its latest run slice.
 #[derive(Debug, Clone)]
 pub struct ShardCollector {
-    /// Aggregates, dropped count and configuration; its own trace map
-    /// stays empty.
+    /// Aggregates and dropped count not yet moved into the merged
+    /// collector, and the configuration; its own trace map stays empty.
     local: TraceCollector,
     /// Kept spans not yet moved into the merged collector.
     kept: Vec<Span>,
@@ -443,40 +433,23 @@ mod tests {
         assert_eq!(c.pending_spans(), 0);
     }
 
-    /// The from-scratch fold `sync_from` replaced: clone shard 0, then
-    /// merge every later shard into it in order. Its inputs are
-    /// standalone collectors that recorded the same spans as the shard
-    /// collectors, each into its own trace map. Kept as the oracle.
-    fn reference_fold(shards: &[TraceCollector]) -> TraceCollector {
-        let mut out = shards[0].clone();
-        for other in &shards[1..] {
-            if other.services.len() > out.services.len() {
-                let w = out.window;
-                out.services
-                    .resize_with(other.services.len(), || ServiceTraceStats::new(w));
+    /// The span order of an ordered fold of every shard: each trace's
+    /// spans on shard 0, then shard 1, …, read from standalone
+    /// collectors that recorded the same spans as the shard collectors,
+    /// each into its own trace map. Kept as the oracle for span order.
+    fn reference_fold(shards: &[TraceCollector]) -> BTreeMap<TraceId, Vec<Span>> {
+        let mut out: BTreeMap<TraceId, Vec<Span>> = BTreeMap::new();
+        for shard in shards {
+            for (trace, spans) in &shard.sampled {
+                out.entry(*trace).or_default().extend_from_slice(spans);
             }
-            for (mine, theirs) in out.services.iter_mut().zip(&other.services) {
-                mine.latency.merge(&theirs.latency);
-                mine.latency_windows.merge(&theirs.latency_windows);
-                mine.queue_ns += theirs.queue_ns;
-                mine.app_ns += theirs.app_ns;
-                mine.net_ns += theirs.net_ns;
-                mine.spans += theirs.spans;
-            }
-            for (trace, spans) in &other.sampled {
-                out.sampled
-                    .entry(*trace)
-                    .or_default()
-                    .extend(spans.iter().cloned());
-            }
-            out.dropped += other.dropped;
         }
         out
     }
 
-    /// Everything a reader of a merged collector can observe.
-    fn view(c: &TraceCollector) -> String {
-        format!("{:?}\n{:?}\n{}", c.services, c.sampled, c.dropped)
+    /// The aggregates a reader of a collector can observe.
+    fn aggregates(c: &TraceCollector) -> String {
+        format!("{:?}\n{}", c.services, c.dropped)
     }
 
     use dsb_testkit::{prop_assert, prop_assert_eq, Shrink};
@@ -532,6 +505,7 @@ mod tests {
         let fresh = || ShardCollector::new(SimDuration::from_secs(1), 0.5, 9);
         let mut shards: Vec<ShardCollector> = (0..SHARDS).map(|_| fresh()).collect();
         let mut mirror: Vec<TraceCollector> = (0..SHARDS).map(|_| new_collector()).collect();
+        let mut whole = new_collector();
         let mut merged = new_collector();
         for (i, r) in recs.iter().enumerate() {
             let end = r.end_us as u64;
@@ -539,28 +513,44 @@ mod tests {
             s.id = SpanId((r.shard as u64) << 48 | i as u64);
             shards[r.shard as usize].record(s);
             mirror[r.shard as usize].record(s);
+            whole.record(s);
             if r.sync {
-                sync_and_check(&mut merged, &mut shards, &mirror)?;
+                sync_and_check(&mut merged, &mut shards, &mirror, &whole)?;
             }
         }
-        sync_and_check(&mut merged, &mut shards, &mirror)?;
+        sync_and_check(&mut merged, &mut shards, &mirror, &whole)?;
         Ok(merged)
     }
 
-    /// Syncs `merged` from `shards`. The merged view must then equal the
-    /// reference fold of `mirror`, standalone collectors fed the same
-    /// spans; no shard may still hold a kept span; and every merged
-    /// trace's `Vec` must be exactly its length.
+    /// Syncs `merged` from `shards`. Its aggregates and dropped count
+    /// must then equal those of `whole`, one standalone collector that
+    /// recorded every span itself; each sampled trace must hold its
+    /// spans in the order of the reference fold of `mirror`, standalone
+    /// collectors fed the same spans as the shards; no shard may still
+    /// hold an aggregate, a dropped count or a kept span; and every
+    /// merged trace's `Vec` must be exactly its length.
     fn sync_and_check(
         merged: &mut TraceCollector,
         shards: &mut [ShardCollector],
         mirror: &[TraceCollector],
+        whole: &TraceCollector,
     ) -> Result<(), String> {
         merged.sync_from(&mut shards.iter_mut().collect::<Vec<_>>());
-        prop_assert_eq!(view(merged), view(&reference_fold(mirror)));
+        prop_assert_eq!(aggregates(merged), aggregates(whole));
+        prop_assert_eq!(
+            format!("{:?}", merged.sampled),
+            format!("{:?}", reference_fold(mirror))
+        );
         prop_assert!(
             shards.iter().all(|s| s.pending_spans() == 0),
             "a shard still holds kept spans after a sync"
+        );
+        prop_assert!(
+            shards.iter().all(|s| s.local.dropped == 0
+                && s.local.services.iter().all(|v| v.spans == 0
+                    && v.latency.count() == 0
+                    && v.latency_windows.window_count() == 0)),
+            "a shard still holds aggregates after a sync"
         );
         prop_assert!(
             merged.sampled.values().all(|v| v.capacity() == v.len()),
@@ -569,9 +559,10 @@ mod tests {
         Ok(())
     }
 
-    /// Syncing at arbitrary points equals the ordered clone-and-merge
-    /// fold of every shard: aggregates, windows, span order within each
-    /// sampled trace, and the dropped count.
+    /// Syncing at arbitrary points gives the aggregates, windows and
+    /// dropped count of one collector that recorded every span, and the
+    /// span order within each sampled trace of an ordered fold of every
+    /// shard.
     #[test]
     fn sync_matches_reference_fold() {
         use dsb_testkit::{gen, prop};

@@ -14,8 +14,9 @@
 //! * [`TraceCollector`] — aggregates spans into per-service histograms and
 //!   time-windowed series (for heatmaps), and retains a configurable sample
 //!   of complete traces, like production collectors do. In a sharded run
-//!   each shard records into a [`ShardCollector`], whose kept spans move
-//!   into the merged collector on every sync.
+//!   each shard records into a [`ShardCollector`], whose aggregates and
+//!   kept spans move into the merged collector on every sync, so each is
+//!   stored once.
 //! * [`critical_path`] — attributes an end-to-end request's latency to the
 //!   services on its critical path (the "last finishing child" walk used on
 //!   Dapper-style traces).

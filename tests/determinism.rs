@@ -169,10 +169,10 @@ fn sliced_run(app: &BuiltApp, workers: usize, slices: &[u64]) -> String {
     merged_views(app, &sim)
 }
 
-/// The merged views are incremental (only what changed since the last
-/// run is re-merged), so how a run is sliced must not show: one drain,
-/// 1 ms slices, and irregular slices agree byte for byte, serially and
-/// on the sharded engine.
+/// The merged trace view takes over what the shards recorded at every
+/// `advance_to`, and service stats fold on read, so how a run is sliced
+/// must not show: one drain, 1 ms slices, and irregular slices agree
+/// byte for byte, serially and on the sharded engine.
 #[test]
 fn slicing_does_not_change_merged_views() {
     let app = apps::twotier::twotier(64, 8);
