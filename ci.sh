@@ -3,7 +3,7 @@
 # workspace has no crates-io dependencies, so `--offline` always works
 # from a clean checkout with no network and no vendored registry.
 #
-#   ./ci.sh            # build + test + format check + dsb-lint
+#   ./ci.sh            # build + test + format check + clippy + dsb-lint
 #   ./ci.sh --bless    # regenerate all golden fixtures, then run the gate
 #
 # Golden fixtures live under tests/goldens/, plus the Fig. 18 call-graph
@@ -98,6 +98,12 @@ fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo clippy --workspace --all-targets (warn-free, outside the budget)"
+# Lints regress silently otherwise, one warning at a time. Every target
+# of the workspace (tests, examples, binaries) is held to zero warnings;
+# perfsuite/ is a package of its own and is not linted here.
+cargo clippy -q --release --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps --offline (warn-free)"
 # rustdoc warnings (broken intra-doc links, bad code fences) regress

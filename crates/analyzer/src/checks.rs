@@ -16,12 +16,9 @@ use dsb_core::{
     ServiceId, Simulation, Step, WorkerPolicy,
 };
 use dsb_simcore::{SimDuration, SimTime};
-use dsb_telemetry::{evaluate, BurnRule, Scraper, Slo};
+use dsb_telemetry::{critical_path_totals, evaluate, BurnRule, Scraper, Slo};
 
-use crate::model::{
-    compute_demand_ns, endpoint_rates, erlang_c, feasible_plan, local_demand_ns,
-    lookahead_certificate, valid_edges,
-};
+use crate::model::{erlang_c, feasible_plan, lookahead_certificate, valid_edges, CapacityModel};
 use crate::{Code, Diagnostic, Severity};
 
 /// Analyzes a spec with no external context: entry points are taken to
@@ -162,17 +159,21 @@ impl<'a> Analyzer<'a> {
             self.check_lookahead(cluster, &mut out);
         }
 
-        // DSB009 offered load vs capacity (needs an acyclic graph).
-        if !self.offered.is_empty() && cycle_anchors.is_empty() {
-            self.check_capacity(&mut out);
+        // DSB009 offered load vs capacity, on the capacity model of the
+        // offered load (none on a cyclic graph: rates cannot propagate).
+        let model = (!self.offered.is_empty())
+            .then(|| CapacityModel::compute(spec, &self.offered, self.cluster))
+            .flatten();
+        if let Some(model) = &model {
+            self.check_capacity(model, &mut out);
 
             // DSB011 per-machine core budgets under the placement plan.
-            if let (Some(cluster), Some(plan)) = (self.cluster, plan.as_ref()) {
-                self.check_machine_budget(cluster, plan, &mut out);
+            if let (Some(cluster), Some(_)) = (self.cluster, plan.as_ref()) {
+                self.check_machine_budget(cluster, model, &mut out);
 
                 // DSB012 trace-driven critical-path queueing.
                 if self.calibration_secs > 0.0 {
-                    self.check_critical_path(cluster, &mut out);
+                    self.check_critical_path(cluster, model, &mut out);
                 }
             }
         }
@@ -780,22 +781,13 @@ impl<'a> Analyzer<'a> {
 
     // -- DSB009 -------------------------------------------------------------
 
-    fn check_capacity(&self, out: &mut Vec<Diagnostic>) {
-        let spec = self.spec;
-        let Some(rates) = endpoint_rates(spec, &self.offered) else {
-            return;
-        };
-        for (i, svc) in spec.services.iter().enumerate() {
-            let WorkerPolicy::Fixed(w) = svc.workers else {
+    fn check_capacity(&self, model: &CapacityModel, out: &mut Vec<Diagnostic>) {
+        for (i, svc) in self.spec.services.iter().enumerate() {
+            let (&WorkerPolicy::Fixed(w), Some(capacity)) = (&svc.workers, model.capacity[i])
+            else {
                 continue; // on-demand tiers scale with load
             };
-            let capacity = (svc.initial_instances.max(1) * w) as f64;
-            let busy: f64 = svc
-                .endpoints
-                .iter()
-                .enumerate()
-                .map(|(e, ep)| rates[i][e] * local_demand_ns(&ep.script) / 1e9)
-                .sum();
+            let busy = model.busy[i];
             let util = busy / capacity;
             if util < 0.75 {
                 // Raw utilization under-reports queueing pressure on small
@@ -859,53 +851,20 @@ impl<'a> Analyzer<'a> {
     /// Offered load vs *per-machine core budgets*: a machine hosting
     /// several hot tiers can be overcommitted even when every pool passes
     /// DSB009, because worker counts say nothing about the cores the
-    /// workers share. Uses the same deterministic [`PlacementPlan`] the
-    /// simulator provisions with, compute demand only (I/O holds a
-    /// worker, not a core), rescaled by each machine's core model.
+    /// workers share. Reads the model's machine fields: the same
+    /// deterministic [`PlacementPlan`] the simulator provisions with,
+    /// compute demand only (I/O holds a worker, not a core), rescaled by
+    /// each machine's core model.
     fn check_machine_budget(
         &self,
         cluster: &ClusterSpec,
-        plan: &PlacementPlan,
+        model: &CapacityModel,
         out: &mut Vec<Diagnostic>,
     ) {
         let spec = self.spec;
-        let Some(rates) = endpoint_rates(spec, &self.offered) else {
-            return;
-        };
-        // Per-instance compute demand in reference-core erlangs.
-        let per_instance: Vec<f64> = spec
-            .services
-            .iter()
-            .enumerate()
-            .map(|(i, svc)| {
-                let total: f64 = svc
-                    .endpoints
-                    .iter()
-                    .enumerate()
-                    .map(|(e, ep)| rates[i][e] * compute_demand_ns(&ep.script) / 1e9)
-                    .sum();
-                total / plan.machines_of(ServiceId(i as u32)).len().max(1) as f64
-            })
-            .collect();
-        // Accumulate actual-core erlangs per machine (and per service).
-        let mut busy = vec![0.0f64; cluster.machines.len()];
-        let mut by_service: Vec<BTreeMap<usize, f64>> =
-            vec![BTreeMap::new(); cluster.machines.len()];
-        for &(svc, m) in plan.instances() {
-            let mi = m.0 as usize;
-            let slowdown = cluster.machines[mi]
-                .core
-                .speed_factor(&spec.services[svc.0 as usize].profile);
-            let erlangs = per_instance[svc.0 as usize] * slowdown;
-            if erlangs <= 0.0 {
-                continue;
-            }
-            busy[mi] += erlangs;
-            *by_service[mi].entry(svc.0 as usize).or_insert(0.0) += erlangs;
-        }
         for (mi, machine) in cluster.machines.iter().enumerate() {
-            let cores = machine.cores.max(1) as f64;
-            let util = busy[mi] / cores;
+            let busy = model.machine_busy[mi];
+            let util = busy / model.machine_cores[mi];
             if util < 0.8 {
                 continue;
             }
@@ -914,7 +873,10 @@ impl<'a> Analyzer<'a> {
             } else {
                 Severity::Warning
             };
-            let mut top: Vec<(usize, f64)> = by_service[mi].iter().map(|(&s, &e)| (s, e)).collect();
+            let mut top: Vec<(usize, f64)> = model.machine_by_service[mi]
+                .iter()
+                .map(|(&s, &e)| (s, e))
+                .collect();
             top.sort_by(|a, b| {
                 b.1.partial_cmp(&a.1)
                     .expect("erlangs are finite")
@@ -937,7 +899,7 @@ impl<'a> Analyzer<'a> {
                      check, but they share this machine's core budget",
                     machine.zone,
                     machine.cores,
-                    busy[mi],
+                    busy,
                     hot.join(", "),
                 ),
             });
@@ -953,11 +915,13 @@ impl<'a> Analyzer<'a> {
     /// several times what per-tier Erlang-C admits at this load. That is
     /// exactly the blind spot of DSB009: a fan-out synchronizes arrivals
     /// downstream, so the Poisson assumption under M/M/k collapses.
-    fn check_critical_path(&self, cluster: &ClusterSpec, out: &mut Vec<Diagnostic>) {
+    fn check_critical_path(
+        &self,
+        cluster: &ClusterSpec,
+        model: &CapacityModel,
+        out: &mut Vec<Diagnostic>,
+    ) {
         let spec = self.spec;
-        let Some(rates) = endpoint_rates(spec, &self.offered) else {
-            return;
-        };
         // Which services sit downstream (inclusive) of a parallel
         // fan-out, and through which (fanner, fan-target) edge.
         let fan = fan_chains(spec);
@@ -1006,22 +970,17 @@ impl<'a> Analyzer<'a> {
             sim.run_until_idle();
         }
         if let Some(scr) = &scraper {
-            self.check_qos_culprit(&sim, scr, out);
+            self.check_qos_culprit(&sim, scr, model, out);
         }
         if fan.is_empty() {
             return;
         }
 
         // Critical-path attribution share per service across all traces.
-        let n = spec.services.len();
-        let mut attr = vec![0u128; n];
-        for (_, spans) in sim.collector().sampled_traces() {
-            for a in dsb_trace::critical_path(spans) {
-                if (a.service as usize) < n {
-                    attr[a.service as usize] += a.ns as u128;
-                }
-            }
-        }
+        let (attr, _) = critical_path_totals(
+            sim.collector().sampled_traces().map(|(_, s)| s.as_slice()),
+            spec.services.len(),
+        );
         let total_attr: u128 = attr.iter().sum();
         if total_attr == 0 {
             return;
@@ -1031,17 +990,11 @@ impl<'a> Analyzer<'a> {
             let Some(&(fanner, target)) = fan.get(&i) else {
                 continue; // sequential queueing is DSB009's domain
             };
-            let WorkerPolicy::Fixed(w) = svc.workers else {
+            let Some(k) = model.capacity[i] else {
                 continue; // on-demand pools spawn through bursts
             };
-            let k = (svc.initial_instances.max(1) * w) as f64;
-            let total_rate: f64 = rates[i].iter().sum();
-            let offered_erl: f64 = svc
-                .endpoints
-                .iter()
-                .enumerate()
-                .map(|(e, ep)| rates[i][e] * local_demand_ns(&ep.script) / 1e9)
-                .sum();
+            let total_rate: f64 = model.rates[i].iter().sum();
+            let offered_erl = model.busy[i];
             if total_rate <= 0.0 || offered_erl <= 0.0 || offered_erl >= k {
                 continue; // idle, or saturated (DSB009 already errors)
             }
@@ -1096,26 +1049,21 @@ impl<'a> Analyzer<'a> {
     /// a Fig. 17/18-style divergence no static pass can see: the billed
     /// tier holds connections while an apparently idle tier causes the
     /// wait.
-    fn check_qos_culprit(&self, sim: &Simulation, scr: &Scraper, out: &mut Vec<Diagnostic>) {
+    fn check_qos_culprit(
+        &self,
+        sim: &Simulation,
+        scr: &Scraper,
+        model: &CapacityModel,
+        out: &mut Vec<Diagnostic>,
+    ) {
         let spec = self.spec;
-        let Some(rates) = endpoint_rates(spec, &self.offered) else {
-            return;
-        };
         // Static prediction: highest offered utilization across fixed
         // worker pools (lowest service id wins ties).
         let mut predicted: Option<(usize, f64)> = None;
-        for (i, svc) in spec.services.iter().enumerate() {
-            let WorkerPolicy::Fixed(w) = svc.workers else {
+        for i in 0..spec.services.len() {
+            let Some(util) = model.utilization(i) else {
                 continue;
             };
-            let k = (svc.initial_instances.max(1) * w) as f64;
-            let erl: f64 = svc
-                .endpoints
-                .iter()
-                .enumerate()
-                .map(|(e, ep)| rates[i][e] * local_demand_ns(&ep.script) / 1e9)
-                .sum();
-            let util = erl / k;
             if predicted.is_none_or(|(_, u)| util > u) {
                 predicted = Some((i, util));
             }

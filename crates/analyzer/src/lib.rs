@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn ordering_is_service_then_code() {
-        let mut v = vec![
+        let mut v = [
             diag(Code::UnusedEndpoint, Severity::Warning, Some(2), "z"),
             diag(Code::CallCycle, Severity::Error, Some(2), "a"),
             diag(Code::DanglingEndpoint, Severity::Error, Some(1), "b"),

@@ -1,4 +1,4 @@
-//! The shared static capacity model behind DSB009/DSB011/DSB012.
+//! The shared static capacity model behind DSB009 and DSB011–DSB013.
 //!
 //! Every load-aware analyzer pass asks the same three questions: how
 //! often is each endpoint invoked (offered entry rates propagated

@@ -1113,7 +1113,7 @@ fn sum(v: &[f64]) -> f64 {\n\
 
     #[test]
     fn findings_sort_stably() {
-        let mut v = vec![
+        let mut v = [
             SourceFinding {
                 path: "b.rs".into(),
                 line: 3,

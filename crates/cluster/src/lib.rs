@@ -310,7 +310,7 @@ mod tests {
             let until = SimTime::from_secs(step + 1);
             while t < until {
                 sim.inject(t, ep, RequestType(0), 64, t.as_nanos());
-                t = t + SimDuration::from_micros(500);
+                t += SimDuration::from_micros(500);
             }
             sim.advance_to(until);
             scaler.tick(&mut sim);
@@ -360,7 +360,7 @@ mod tests {
             let until = SimTime::from_secs(step + 1);
             while t < until {
                 sim.inject(t, ep, RequestType(0), 64, 1);
-                t = t + SimDuration::from_micros(300);
+                t += SimDuration::from_micros(300);
             }
             sim.advance_to(until);
             scaler.tick(&mut sim);
@@ -380,7 +380,7 @@ mod tests {
                 let mut t = from;
                 while t < to {
                     sim.inject(t, ep, RequestType(0), 64, t.as_nanos());
-                    t = t + SimDuration::from_micros(700);
+                    t += SimDuration::from_micros(700);
                 }
             },
             &[svc],

@@ -3,28 +3,33 @@
 //! A chaos plan is a seeded, sim-time-scheduled list of [`ChaosEvent`]s
 //! — machine crash + restart, cache-shard loss with cold refill,
 //! network partition, NIC degradation, and edge-node churn. The plan is
-//! *pure data*: [`ChaosPlan::schedule`] expands it into a sorted list of
-//! concrete boundary actions, each tagged with the plan event it comes
-//! from, and [`Simulation::install_chaos`]
-//! (`crates/core/src/sim.rs`) applies each action between event runs —
-//! exactly the way the existing control surface (instance scaling)
-//! already synchronizes with both the serial and the sharded epoch
-//! driver. That placement is what makes injection byte-identical across
-//! worker counts: a fault takes effect at a quiesced instant, never
-//! mid-epoch.
+//! *pure data*, and the simulator applies its events as written. Each
+//! event has two boundary instants, `ChaosEvent::window()`: the fault
+//! starts at the first and is undone (restart, restore, heal) at the
+//! second. The one rewrite is churn: `ChaosPlan::expand()` replaces each
+//! [`ChaosEvent::EdgeChurn`], in place, by the machine crashes its seeded
+//! draws pick. [`Simulation::install_chaos`] (`crates/core/src/sim.rs`)
+//! files every expanded event at its two instants and applies it there,
+//! between event runs — exactly the way the existing control surface
+//! (instance scaling) already synchronizes with both the serial and the
+//! sharded epoch driver. That placement is what makes injection
+//! byte-identical across worker counts: a fault takes effect at a
+//! quiesced instant, never mid-epoch.
 //!
 //! [`Simulation::install_chaos`]: crate::Simulation::install_chaos
 //!
-//! The same expansion doubles as the detection scorer's ground truth:
-//! [`ChaosPlan::faults`] yields one labeled active window per injected
-//! fault, which `dsb-telemetry`'s scorer joins against fired alerts.
+//! The same windows are the detection scorer's ground truth:
+//! [`ChaosPlan::faults`] yields one labeled window per plan event (a
+//! churn is one fault), stretched past its end by any cold refill or
+//! churn downtime, which `dsb-telemetry`'s scorer joins against fired
+//! alerts.
 
 use dsb_simcore::{mix64, Rng, SimDuration, SimTime};
 
 use crate::{MachineId, ServiceId};
 
 /// One scheduled fault in a [`ChaosPlan`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChaosEvent {
     /// Crash a machine at `at`: every in-flight invocation on it fails
     /// fast (callers get an error response after the minimum network
@@ -127,58 +132,6 @@ pub struct ChaosPlan {
     pub events: Vec<ChaosEvent>,
 }
 
-/// One concrete boundary action produced by [`ChaosPlan::schedule`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChaosAction {
-    /// Take a machine down.
-    CrashMachine {
-        /// The machine.
-        machine: MachineId,
-    },
-    /// Bring a crashed machine back up.
-    RestartMachine {
-        /// The machine.
-        machine: MachineId,
-        /// Cold-cache window applied to its restored instances.
-        cold_for: SimDuration,
-    },
-    /// Take one instance of a service down.
-    CrashShard {
-        /// The service.
-        service: ServiceId,
-        /// Instance index within the service.
-        shard: u32,
-    },
-    /// Restore a crashed instance.
-    RestoreShard {
-        /// The service.
-        service: ServiceId,
-        /// Instance index within the service.
-        shard: u32,
-        /// Cold-refill window after restoration.
-        cold_for: SimDuration,
-    },
-    /// Start failing traffic between two machine groups.
-    StartPartition {
-        /// One side of the cut.
-        a: Vec<MachineId>,
-        /// The other side.
-        b: Vec<MachineId>,
-        /// Sender-side failure timeout.
-        timeout: SimDuration,
-    },
-    /// Start multiplying delays at the given machines' NICs.
-    StartDegrade {
-        /// Degraded machines.
-        machines: Vec<MachineId>,
-        /// Delay multiplier (≥ 1.0).
-        factor: f64,
-    },
-    /// Heal the partition or end the NIC degradation that the same plan
-    /// event started: the simulator finds it by the event's index.
-    EndNetFault,
-}
-
 /// The ground-truth record of one injected fault: what a perfect
 /// detector should flag, and when. The detection scorer joins alerts
 /// against these windows.
@@ -206,179 +159,104 @@ impl ChaosPlan {
         }
     }
 
-    /// Expands the plan into concrete `(time, event index, action)`
-    /// boundary actions, sorted by time (stable: ties keep event order).
-    /// The index names the plan event an action comes from, so an end
-    /// action can find the one fault its own start began. Pure function
-    /// of the plan — the simulator relies on that.
-    pub fn schedule(&self) -> Vec<(SimTime, usize, ChaosAction)> {
-        let mut out: Vec<(SimTime, usize, ChaosAction)> = Vec::new();
+    /// The plan's events with each [`ChaosEvent::EdgeChurn`] replaced,
+    /// in place, by the [`ChaosEvent::MachineCrash`]es its seeded draws
+    /// pick, in draw order. What the simulator applies; a pure function
+    /// of the plan.
+    pub(crate) fn expand(&self) -> Vec<ChaosEvent> {
+        let mut out = Vec::with_capacity(self.events.len());
         for (i, ev) in self.events.iter().enumerate() {
-            match ev {
-                ChaosEvent::MachineCrash {
-                    machine,
-                    at,
-                    restart_after,
-                    cold_for,
-                } => {
-                    out.push((*at, i, ChaosAction::CrashMachine { machine: *machine }));
-                    out.push((
-                        *at + *restart_after,
-                        i,
-                        ChaosAction::RestartMachine {
-                            machine: *machine,
-                            cold_for: *cold_for,
-                        },
-                    ));
-                }
-                ChaosEvent::CacheLoss {
-                    service,
-                    shard,
-                    at,
-                    restart_after,
-                    cold_for,
-                } => {
-                    out.push((
-                        *at,
-                        i,
-                        ChaosAction::CrashShard {
-                            service: *service,
-                            shard: *shard,
-                        },
-                    ));
-                    out.push((
-                        *at + *restart_after,
-                        i,
-                        ChaosAction::RestoreShard {
-                            service: *service,
-                            shard: *shard,
-                            cold_for: *cold_for,
-                        },
-                    ));
-                }
-                ChaosEvent::Partition {
-                    a,
-                    b,
-                    from,
-                    until,
-                    timeout,
-                } => {
-                    out.push((
-                        *from,
-                        i,
-                        ChaosAction::StartPartition {
-                            a: a.clone(),
-                            b: b.clone(),
-                            timeout: *timeout,
-                        },
-                    ));
-                    out.push((*until, i, ChaosAction::EndNetFault));
-                }
-                ChaosEvent::NicDegrade {
-                    machines,
-                    factor,
-                    from,
-                    until,
-                } => {
-                    out.push((
-                        *from,
-                        i,
-                        ChaosAction::StartDegrade {
-                            machines: machines.clone(),
-                            factor: factor.max(1.0),
-                        },
-                    ));
-                    out.push((*until, i, ChaosAction::EndNetFault));
-                }
-                ChaosEvent::EdgeChurn {
-                    machines,
-                    from,
-                    until,
-                    period,
-                    down_for,
-                    cold_for,
-                } => {
-                    if machines.is_empty() {
-                        continue;
-                    }
-                    let mut rng = Rng::new(mix64(self.seed ^ mix64(0xC4A05 ^ i as u64)));
-                    let mut t = *from;
-                    while t < *until {
-                        let m = machines[rng.index(machines.len())];
-                        out.push((t, i, ChaosAction::CrashMachine { machine: m }));
-                        out.push((
-                            t + *down_for,
-                            i,
-                            ChaosAction::RestartMachine {
-                                machine: m,
-                                cold_for: *cold_for,
-                            },
-                        ));
-                        t = t + *period;
-                    }
-                }
+            let ChaosEvent::EdgeChurn {
+                machines,
+                from,
+                until,
+                period,
+                down_for,
+                cold_for,
+            } = ev
+            else {
+                out.push(ev.clone());
+                continue;
+            };
+            if machines.is_empty() {
+                continue;
+            }
+            let mut rng = Rng::new(mix64(self.seed ^ mix64(0xC4A05 ^ i as u64)));
+            let mut t = *from;
+            while t < *until {
+                out.push(ChaosEvent::MachineCrash {
+                    machine: machines[rng.index(machines.len())],
+                    at: t,
+                    restart_after: *down_for,
+                    cold_for: *cold_for,
+                });
+                t += *period;
             }
         }
-        out.sort_by_key(|(t, _, _)| *t);
         out
     }
 
     /// The ground-truth fault windows, one per injected fault (a churn
     /// event is one fault: a detector is scored on flagging the churn,
-    /// not each constituent crash).
+    /// not each constituent crash). A window runs from the fault's start
+    /// past its end by whatever trails it: the cold refill after a
+    /// restart, and for churn the last crash's downtime too.
     pub fn faults(&self) -> Vec<FaultWindow> {
         self.events
             .iter()
-            .map(|ev| match ev {
-                ChaosEvent::MachineCrash {
-                    machine,
-                    at,
-                    restart_after,
-                    cold_for,
-                } => FaultWindow {
-                    label: format!("machine-crash m{}", machine.0),
-                    from: *at,
-                    until: *at + *restart_after + *cold_for,
-                    culprit: None,
-                },
-                ChaosEvent::CacheLoss {
-                    service,
-                    shard,
-                    at,
-                    restart_after,
-                    cold_for,
-                } => FaultWindow {
-                    label: format!("cache-loss svc{} shard{}", service.0, shard),
-                    from: *at,
-                    until: *at + *restart_after + *cold_for,
-                    culprit: Some(*service),
-                },
-                ChaosEvent::Partition { from, until, .. } => FaultWindow {
-                    label: "partition".to_string(),
-                    from: *from,
-                    until: *until,
-                    culprit: None,
-                },
-                ChaosEvent::NicDegrade { from, until, .. } => FaultWindow {
-                    label: "nic-degrade".to_string(),
-                    from: *from,
-                    until: *until,
-                    culprit: None,
-                },
-                ChaosEvent::EdgeChurn {
+            .map(|ev| {
+                let (from, end) = ev.window();
+                let (label, until, culprit) = match ev {
+                    ChaosEvent::MachineCrash {
+                        machine, cold_for, ..
+                    } => (
+                        format!("machine-crash m{}", machine.0),
+                        end + *cold_for,
+                        None,
+                    ),
+                    ChaosEvent::CacheLoss {
+                        service,
+                        shard,
+                        cold_for,
+                        ..
+                    } => (
+                        format!("cache-loss svc{} shard{}", service.0, shard),
+                        end + *cold_for,
+                        Some(*service),
+                    ),
+                    ChaosEvent::Partition { .. } => ("partition".to_string(), end, None),
+                    ChaosEvent::NicDegrade { .. } => ("nic-degrade".to_string(), end, None),
+                    ChaosEvent::EdgeChurn {
+                        down_for, cold_for, ..
+                    } => ("edge-churn".to_string(), end + *down_for + *cold_for, None),
+                };
+                FaultWindow {
+                    label,
                     from,
                     until,
-                    down_for,
-                    cold_for,
-                    ..
-                } => FaultWindow {
-                    label: "edge-churn".to_string(),
-                    from: *from,
-                    until: *until + *down_for + *cold_for,
-                    culprit: None,
-                },
+                    culprit,
+                }
             })
             .collect()
+    }
+}
+
+impl ChaosEvent {
+    /// The event's two boundary instants: when the fault starts, and
+    /// when the simulator undoes it (restart, restore, heal, or the end
+    /// of the degradation or of the churn window).
+    pub(crate) fn window(&self) -> (SimTime, SimTime) {
+        match *self {
+            ChaosEvent::MachineCrash {
+                at, restart_after, ..
+            }
+            | ChaosEvent::CacheLoss {
+                at, restart_after, ..
+            } => (at, at + restart_after),
+            ChaosEvent::Partition { from, until, .. }
+            | ChaosEvent::NicDegrade { from, until, .. }
+            | ChaosEvent::EdgeChurn { from, until, .. } => (from, until),
+        }
     }
 }
 
@@ -387,7 +265,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schedule_is_sorted_and_deterministic() {
+    fn expand_is_pure_and_replaces_churn_in_place() {
         let plan = ChaosPlan {
             seed: 7,
             events: vec![
@@ -407,29 +285,27 @@ mod tests {
                 },
             ],
         };
-        let s1 = plan.schedule();
-        let s2 = plan.schedule();
-        assert_eq!(s1, s2, "expansion must be pure");
-        assert!(s1.windows(2).all(|w| w[0].0 <= w[1].0), "sorted by time");
-        // 1 crash/restart pair + 3 churn pairs (t = 1, 2, 3 s).
-        assert_eq!(s1.len(), 8);
-        assert_eq!(plan.faults().len(), 2);
-    }
-
-    #[test]
-    fn degrade_factor_clamped_up() {
-        let plan = ChaosPlan {
-            seed: 0,
-            events: vec![ChaosEvent::NicDegrade {
-                machines: vec![MachineId(0)],
-                factor: 0.25,
-                from: SimTime::ZERO,
-                until: SimTime::from_secs(1),
-            }],
-        };
-        match &plan.schedule()[0].2 {
-            ChaosAction::StartDegrade { factor, .. } => assert_eq!(*factor, 1.0),
-            other => panic!("expected degrade, got {other:?}"),
+        let expanded = plan.expand();
+        assert_eq!(expanded, plan.expand(), "expansion must be pure");
+        // The crash, then in the churn's place its 3 crashes (t = 1, 2, 3 s).
+        assert_eq!(expanded.len(), 4);
+        assert_eq!(expanded[0], plan.events[0]);
+        for (ev, secs) in expanded[1..].iter().zip(1..) {
+            let ChaosEvent::MachineCrash {
+                machine,
+                at,
+                restart_after,
+                cold_for,
+            } = ev
+            else {
+                panic!("churn expands to machine crashes, got {ev:?}");
+            };
+            assert!([MachineId(8), MachineId(9)].contains(machine));
+            assert_eq!(*at, SimTime::from_secs(secs));
+            assert_eq!(*restart_after, SimDuration::from_millis(500));
+            assert_eq!(*cold_for, SimDuration::ZERO);
         }
+        // Ground truth keeps the churn as one fault.
+        assert_eq!(plan.faults().len(), 2);
     }
 }

@@ -35,7 +35,7 @@ mod slab;
 mod spec;
 mod stats;
 
-pub use chaos::{ChaosAction, ChaosEvent, ChaosPlan, FaultWindow};
+pub use chaos::{ChaosEvent, ChaosPlan, FaultWindow};
 pub use placement::{PlacementHint, PlacementPlan, Placer};
 pub use sim::{ConnPoolSnapshot, InstanceState, Simulation};
 pub use slab::{Slab, SlabKey};

@@ -43,7 +43,7 @@ use dsb_simcore::{
 use dsb_trace::{ShardCollector, Span, SpanId, TraceCollector, TraceId};
 use dsb_uarch::{CoreModel, ExecDomain};
 
-use crate::chaos::{ChaosAction, ChaosPlan};
+use crate::chaos::{ChaosEvent, ChaosPlan};
 use crate::slab::{Slab, SlabKey};
 use crate::spec::{
     AppSpec, ClusterSpec, Concurrency, EndpointRef, InstanceId, LbPolicy, MachineId, RequestType,
@@ -137,23 +137,9 @@ struct NetChaos {
     /// machine's active degradations (1.0 = healthy). Only ever ≥ 1.0,
     /// so the lookahead bound stays conservative.
     degrade: Vec<f64>,
-    /// The active faults, each under the index of the plan event that
-    /// started it.
-    active: Vec<(usize, NetFault)>,
-}
-
-/// One active network fault.
-#[derive(Debug)]
-enum NetFault {
-    Cut {
-        a: Vec<MachineId>,
-        b: Vec<MachineId>,
-        timeout_ns: u64,
-    },
-    Degrade {
-        machines: Vec<MachineId>,
-        factor: f64,
-    },
+    /// The active faults: indices into [`Simulation`]'s chaos events,
+    /// each a [`ChaosEvent::Partition`] or a [`ChaosEvent::NicDegrade`].
+    active: Vec<usize>,
 }
 
 impl NetChaos {
@@ -177,34 +163,33 @@ impl NetChaos {
         }
     }
 
-    /// Starts the fault of plan event `id`, or ends it when `fault` is
-    /// `None`, then folds the links and NICs from every active fault.
-    fn set(&mut self, id: usize, fault: Option<NetFault>) {
-        match fault {
-            Some(f) => self.active.push((id, f)),
-            None => self.active.retain(|(i, _)| *i != id),
-        }
+    /// Folds the links and NICs from every active fault in `events`.
+    fn fold(&mut self, events: &[ChaosEvent], lookahead_ns: u64) {
         self.cut.fill(None);
         self.degrade.fill(1.0);
-        for (_, fault) in &self.active {
-            match fault {
-                NetFault::Cut { a, b, timeout_ns } => {
+        for &i in &self.active {
+            match &events[i] {
+                ChaosEvent::Partition { a, b, timeout, .. } => {
+                    let timeout_ns = timeout.as_nanos().max(lookahead_ns);
                     for &x in a {
                         for &y in b {
                             let (x, y) = (x.0 as usize, y.0 as usize);
                             for link in [x * self.n + y, y * self.n + x] {
-                                let t = self.cut[link].map_or(*timeout_ns, |t| t.min(*timeout_ns));
+                                let t = self.cut[link].map_or(timeout_ns, |t| t.min(timeout_ns));
                                 self.cut[link] = Some(t);
                             }
                         }
                     }
                 }
-                NetFault::Degrade { machines, factor } => {
+                ChaosEvent::NicDegrade {
+                    machines, factor, ..
+                } => {
                     for m in machines {
                         let d = &mut self.degrade[m.0 as usize];
                         *d = d.max(*factor);
                     }
                 }
+                other => unreachable!("not a network fault: {other:?}"),
             }
         }
     }
@@ -1948,9 +1933,10 @@ impl EpochShard<SharedState> for Lane<'_> {
 struct Boundary {
     /// Started instances that join rotation.
     activate: Vec<InstanceId>,
-    /// Actions of the installed [`ChaosPlan`], each with the index of
-    /// the plan event it comes from.
-    chaos: Vec<(usize, ChaosAction)>,
+    /// Chaos events that start (`true`) or end (`false`) here, as
+    /// indices into [`Simulation`]'s chaos events, in the order they
+    /// apply.
+    chaos: Vec<(usize, bool)>,
 }
 
 /// A complete simulation: sharded cluster state plus the control surface
@@ -1991,7 +1977,11 @@ pub struct Simulation {
     /// Floor of [`Simulation::now`]: the latest applied run boundary,
     /// or the clock when `set_workers` last replaced the lane wheels.
     clock_floor: u64,
-    /// The installed plan, kept as ground truth for detection scorers.
+    /// The events of every installed plan, churn expanded (see
+    /// [`ChaosPlan::expand`]); boundaries name them by index.
+    chaos_events: Vec<ChaosEvent>,
+    /// The last installed plan, kept as ground truth for detection
+    /// scorers.
     chaos_plan: Option<ChaosPlan>,
     placer: crate::placement::Placer,
     instance_startup: SimDuration,
@@ -2081,6 +2071,7 @@ impl Simulation {
             retired_events: 0,
             boundaries: BTreeMap::new(),
             clock_floor: 0,
+            chaos_events: Vec::new(),
             chaos_plan: None,
             placer,
             instance_startup: cluster.instance_startup,
@@ -2149,21 +2140,34 @@ impl Simulation {
 
     // -- Chaos surface -------------------------------------------------------
 
-    /// Installs a fault-injection plan: its expanded schedule is applied
-    /// at run boundaries (between event runs), so faults take effect at
-    /// quiesced instants — byte-identically at any worker count.
-    /// Partition timeouts are clamped up to the cluster lookahead so the
-    /// epoch engine stays conservative (the DSB015 floor). The plan is
-    /// retained as ground truth, exposed via [`Simulation::chaos_plan`].
+    /// Installs a fault-injection plan. Each of its events (churn
+    /// expanded into the crashes it draws) starts at one run boundary
+    /// and is undone at another, applied between event runs, so faults
+    /// take effect at quiesced instants — byte-identically at any worker
+    /// count. Events at the same instant apply in plan order, a start
+    /// before its own end. Partition timeouts are clamped up to the
+    /// cluster lookahead so the epoch engine stays conservative (the
+    /// DSB015 floor). Plans installed one after another each keep their
+    /// own faults; the last one is retained as ground truth, exposed via
+    /// [`Simulation::chaos_plan`].
     pub fn install_chaos(&mut self, plan: &ChaosPlan) {
-        for (t, id, action) in plan.schedule() {
+        let first = self.chaos_events.len();
+        self.chaos_events.extend(plan.expand());
+        let mut instants: Vec<(SimTime, usize, bool)> = (first..self.chaos_events.len())
+            .flat_map(|i| {
+                let (start, end) = self.chaos_events[i].window();
+                [(start, i, true), (end, i, false)]
+            })
+            .collect();
+        instants.sort_by_key(|&(t, ..)| t);
+        for (t, i, start) in instants {
             // Boundary 0 would precede the first event run; shift to 1.
             let at = t.as_nanos().max(1);
             self.boundaries
                 .entry(at)
                 .or_default()
                 .chaos
-                .push((id, action));
+                .push((i, start));
         }
         self.chaos_plan = Some(plan.clone());
     }
@@ -2173,8 +2177,8 @@ impl Simulation {
         self.chaos_plan.as_ref()
     }
 
-    /// Applies run boundary `tc`: its instance activations, then its
-    /// chaos actions.
+    /// Applies run boundary `tc`: its instance activations, then the
+    /// starts and ends of its chaos events.
     fn apply_boundary(&mut self, tc: u64, boundary: Boundary) {
         for id in boundary.activate {
             let m = &mut self.shared.insts[id.0 as usize];
@@ -2182,46 +2186,48 @@ impl Simulation {
                 m.state = InstanceState::Up;
             }
         }
-        for (id, action) in boundary.chaos {
-            match action {
-                ChaosAction::CrashMachine { machine } => self.crash_machine(machine, tc),
-                ChaosAction::RestartMachine { machine, cold_for } => {
-                    self.restart_machine(machine, tc, cold_for)
-                }
-                ChaosAction::CrashShard { service, shard } => {
-                    if let Some(id) = self.nth_instance(service, shard) {
-                        self.crash_instance(id, tc);
+        for (i, start) in boundary.chaos {
+            match self.chaos_events[i] {
+                ChaosEvent::MachineCrash {
+                    machine, cold_for, ..
+                } => {
+                    if start {
+                        self.crash_machine(machine, tc);
+                    } else {
+                        self.restart_machine(machine, tc, cold_for);
                     }
                 }
-                ChaosAction::RestoreShard {
+                ChaosEvent::CacheLoss {
                     service,
                     shard,
                     cold_for,
+                    ..
                 } => {
                     if let Some(id) = self.nth_instance(service, shard) {
-                        self.restore_instance(id, tc, cold_for);
+                        if start {
+                            self.crash_instance(id, tc);
+                        } else {
+                            self.restore_instance(id, tc, cold_for);
+                        }
                     }
                 }
-                ChaosAction::StartPartition { a, b, timeout } => {
-                    let timeout_ns = timeout.as_nanos().max(self.shared.lookahead_ns);
-                    let cut = NetFault::Cut { a, b, timeout_ns };
-                    self.net_chaos().set(id, Some(cut));
+                ChaosEvent::Partition { .. } | ChaosEvent::NicDegrade { .. } => {
+                    let n = self.shared.machines.len();
+                    let net = self
+                        .shared
+                        .chaos_net
+                        .get_or_insert_with(|| Box::new(NetChaos::new(n)));
+                    if start {
+                        net.active.push(i);
+                    } else {
+                        net.active.retain(|&j| j != i);
+                    }
+                    net.fold(&self.chaos_events, self.shared.lookahead_ns);
                 }
-                ChaosAction::StartDegrade { machines, factor } => {
-                    let degrade = NetFault::Degrade { machines, factor };
-                    self.net_chaos().set(id, Some(degrade));
-                }
-                ChaosAction::EndNetFault => self.net_chaos().set(id, None),
+                ChaosEvent::EdgeChurn { .. } => unreachable!("churn is expanded at install"),
             }
         }
         self.clock_floor = self.clock_floor.max(tc);
-    }
-
-    fn net_chaos(&mut self) -> &mut NetChaos {
-        let n = self.shared.machines.len();
-        self.shared
-            .chaos_net
-            .get_or_insert_with(|| Box::new(NetChaos::new(n)))
     }
 
     /// The `shard`-th instance of a service (chaos plans address cache
@@ -2300,7 +2306,7 @@ impl Simulation {
     /// own (work the dying host had already started).
     fn kill_shard_work(&mut self, shard: usize, victims: &[InstanceId], tc: u64) {
         let at_ns = tc.saturating_add(self.shared.lookahead_ns);
-        let is_victim = |inst: InstanceId| victims.iter().any(|v| *v == inst);
+        let is_victim = |inst: InstanceId| victims.contains(&inst);
         // In-flight invocations (slab order is deterministic per shard).
         let keys: Vec<SlabKey> = self.shards[shard]
             .invocations
@@ -2753,7 +2759,6 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ChaosEvent;
     use crate::spec::AppBuilder;
     use dsb_simcore::Dist;
 
@@ -3530,7 +3535,7 @@ mod tests {
             let crash_at = SimTime::from_micros(800);
             sim.install_chaos(&ChaosPlan {
                 seed: 1,
-                events: vec![crate::chaos::ChaosEvent::MachineCrash {
+                events: vec![ChaosEvent::MachineCrash {
                     machine: victim,
                     at: crash_at,
                     restart_after: SimDuration::from_millis(2),
@@ -3668,6 +3673,28 @@ mod tests {
         }
     }
 
+    /// Each installed plan heals only its own faults: the first plan's
+    /// cut of front|back heals at 5 ms, but the second plan's cut of the
+    /// same link lasts to 1 s, so a request at 10 ms fails.
+    #[test]
+    fn second_plan_keeps_its_own_partition() {
+        let (app, root, machines) = front_back();
+        let cluster = ClusterSpec::xeon_cluster(4, 1);
+        for workers in [1, 4] {
+            let mut sim = Simulation::new(app.clone(), cluster.clone(), 1);
+            sim.set_workers(workers);
+            let [f, b] = machines(&sim);
+            for ms in [[1, 5], [2, 1000]] {
+                let events = vec![cut(vec![f], vec![b], ms, 10)];
+                sim.install_chaos(&ChaosPlan { seed: 1, events });
+            }
+            sim.inject(SimTime::from_millis(10), root, RequestType(0), 64, 1);
+            sim.advance_to(SimTime::from_millis(50));
+            let st = sim.request_stats(RequestType(0)).unwrap();
+            assert_eq!((st.completed, st.failed), (0, 1), "workers={workers}");
+        }
+    }
+
     /// Partitions over one link compose: the link stays cut while any
     /// of them is active, and a request across it fails after the
     /// smallest active timeout. Both plans cut front|back with a 10 ms
@@ -3736,7 +3763,8 @@ mod tests {
     }
 
     /// NIC degradation stretches every hop to or from the degraded
-    /// machine: the client's injection hop as well as the reply.
+    /// machine: the client's injection hop as well as the reply. A factor
+    /// below 1.0 is clamped up to it: delays never shrink.
     #[test]
     fn nic_degrade_stretches_the_injection_and_reply_hops() {
         let (app, ep) = one_tier();
@@ -3759,6 +3787,7 @@ mod tests {
         };
         let stretch = latency(10.0) - latency(1.0);
         assert_eq!(stretch, 2 * 9 * cluster.fabric.client_ns, "both hops ×10");
+        assert_eq!(latency(0.25), latency(1.0), "factor clamped up to 1.0");
     }
 
     /// Partitions cut links between machines only: with every machine

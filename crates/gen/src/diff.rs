@@ -257,9 +257,9 @@ fn check_shard_split(g: &GenSpec, r: &DiffRun) -> Result<(), String> {
     Ok(())
 }
 
-/// The DSB009/DSB011 verdicts must be consistent with the public
-/// [`CapacityModel`] the diagnostics are documented to be built on —
-/// this pins the checks-to-model extraction against drift.
+/// The DSB009/DSB011 verdicts must agree with the public
+/// [`CapacityModel`] the diagnostics are built on: this pins the error
+/// thresholds of both checks (a tier or a machine at utilization ≥ 1.0).
 fn check_verdicts(g: &GenSpec, r: &DiffRun) -> Result<(), String> {
     let app = g.build();
     let entry = app.mix.entries()[0].entry;

@@ -167,9 +167,11 @@ impl<E> TimerWheel<E> {
         }
         // Smallest level whose horizon 2^(G0_BITS + 6(L+1)) exceeds the
         // delta, then bump while the slot distance reaches a full
-        // rotation (possible when the cursor sits mid-slot).
+        // rotation (possible when the cursor sits mid-slot). That level,
+        // ⌈(bits − G0_BITS − 6) / 6⌉ floored at 0, equals ⌊(bits −
+        // G0_BITS − 1) / 6⌋ for every `bits`: no remainder test here.
         let bits = 64 - delta.leading_zeros();
-        let mut level = (bits.saturating_sub(G0_BITS + SLOT_BITS) + SLOT_BITS - 1) / SLOT_BITS;
+        let mut level = bits.saturating_sub(G0_BITS + 1) / SLOT_BITS;
         loop {
             if level as usize >= LEVELS {
                 self.overflow_min = self.overflow_min.min(e.at);

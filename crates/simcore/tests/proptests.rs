@@ -82,7 +82,7 @@ fn histogram_merge_union() {
                 gen::vec_with(rng, 0, 200, |r| gen::u64_in(r, 0, 1_000_000)),
             )
         },
-        |&(ref a, ref b): &(Vec<u64>, Vec<u64>)| {
+        |(a, b): &(Vec<u64>, Vec<u64>)| {
             let mut ha = Histogram::default();
             let mut hb = Histogram::default();
             let mut hu = Histogram::default();

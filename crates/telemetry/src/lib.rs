@@ -7,7 +7,7 @@
 //! stack for the simulator, built in four layers:
 //!
 //! * [`Registry`] — a deterministic metrics store: counters and gauges
-//!   keyed by `(service, endpoint, machine, target, rtype)` labels, each
+//!   keyed by `(service, machine, target, rtype)` labels, each
 //!   a timeline of per-window `(sum, count)` integers (16 B a window).
 //! * [`Scraper`] — polls a [`dsb_core::Simulation`] through *read-only*
 //!   hooks (worker-queue depth, in-flight requests, connection-pool

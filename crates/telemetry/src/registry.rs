@@ -13,8 +13,6 @@ use dsb_simcore::{SimDuration, SimTime};
 pub struct Labels {
     /// Owning service id.
     pub service: Option<u32>,
-    /// Endpoint index within the service.
-    pub endpoint: Option<u32>,
     /// Machine id.
     pub machine: Option<u32>,
     /// Downstream service id (connection-pool metrics).
@@ -48,12 +46,6 @@ impl Labels {
         }
     }
 
-    /// Adds an endpoint dimension.
-    pub fn with_endpoint(mut self, e: u32) -> Self {
-        self.endpoint = Some(e);
-        self
-    }
-
     /// Adds a downstream-service dimension.
     pub fn with_target(mut self, t: u32) -> Self {
         self.target = Some(t);
@@ -75,8 +67,6 @@ pub mod names {
     pub const INVOCATIONS: &str = "invocations";
     /// Counter: requests dropped by admission control, per service.
     pub const DROPPED: &str = "dropped";
-    /// Counter: completed invocations, per (service, endpoint).
-    pub const ENDPOINT_INVOCATIONS: &str = "endpoint_invocations";
     /// Gauge: connections in use, per (service, target).
     pub const CONN_IN_USE: &str = "conn_in_use";
     /// Gauge: pooled connection capacity, per (service, target).

@@ -57,7 +57,7 @@ fn main() {
             ))
         })
         .collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1));
+    rows.sort_by_key(|r| std::cmp::Reverse(r.1));
     for (name, p99, netf) in rows.iter().take(10) {
         println!(
             "  {name:>22}: p99 {:>9.3}ms  net share {:>5.1}%",
@@ -79,7 +79,7 @@ fn main() {
         .iter()
         .map(|(&svc, &(ns, _))| (app.name_of(ServiceId(svc)), ns))
         .collect();
-    attr.sort_by(|a, b| b.1.cmp(&a.1));
+    attr.sort_by_key(|a| std::cmp::Reverse(a.1));
     let total: u64 = attr.iter().map(|a| a.1).sum();
     println!("\ncritical-path attribution (share of end-to-end latency):");
     for (name, ns) in attr.iter().take(10) {
