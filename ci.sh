@@ -127,19 +127,26 @@ if [ "$lint_wall" -gt "$LINT_BUDGET_S" ]; then
     exit 1
 fi
 
-echo "==> engine self-checks: dsb-simcore + dsb-core + dsb-trace + dsb-telemetry tests, the chaos, parallel conformance and determinism suites with debug assertions and overflow checks (outside the budget)"
+echo "==> engine self-checks: dsb-simcore + dsb-core + dsb-trace + dsb-telemetry + dsb-bench tests, the chaos, parallel conformance and determinism suites with debug assertions and overflow checks (outside the budget)"
 # Every other step builds --release, where debug_assert! and integer
 # overflow checks compile out, so the engine's own invariants (wheel
 # order, lookahead floor, slot liveness, the shard tag of every span a
 # trace sync places) would never run, and neither would the overflow
 # checks on the metrics registry's integer window sums. Same release
 # optimizations, checks switched back on, in a target dir of its own so
-# the plain release artifacts above are not rebuilt. The chaos suite
-# (tests/chaos.rs) drives all five fault kinds, so the fault paths'
-# assertions (the hop's lookahead floor, a cut request leaving from its
-# caller's shard) run too. The conformance suite runs the epoch
-# driver's, the wheel's and the trace sync's assertions under the real
-# model at 2, 3, 4 and 8 threads. The determinism suite's
+# the plain release artifacts above are not rebuilt. The dsb-bench
+# tests run the fig22 kernel, the benchmark's own model, at workers 1
+# and 4 under the epoch driver's assertions, at the 4 ms window its
+# hops allow. The chaos suite (tests/chaos.rs) drives all five fault
+# kinds, so the fault paths' assertions (the hop's lookahead floor, a
+# cut request leaving from its caller's shard) run too. The
+# conformance suite runs the epoch driver's, the wheel's and the trace
+# sync's assertions under the real model at workers 2, 3, 4 and 8 (a
+# host with fewer CPUs runs those on one thread per CPU). Its ms-fabric
+# case is the one run whose epoch window exceeds the model lookahead,
+# at a jitter that puts a third of all hops on their floor, so a window
+# wider than the run's hops allow trips the epoch driver's `at > last`
+# assertion there. The determinism suite's
 # slicing_does_not_change_merged_views syncs the merged trace view
 # hundreds of times (450 one-ms slices and 64 irregular ones, at workers
 # 1 and 4), so the sync's shard-tag assertion and the overflow checks on
@@ -148,7 +155,7 @@ CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
     CARGO_TARGET_DIR=target/checked \
     cargo test -q --release --offline -p dsb-simcore -p dsb-core -p dsb-trace \
-    -p dsb-telemetry
+    -p dsb-telemetry -p dsb-bench
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     CARGO_PROFILE_RELEASE_OVERFLOW_CHECKS=true \
     CARGO_TARGET_DIR=target/checked \

@@ -39,9 +39,12 @@ pub fn mini_run_completed(app: &BuiltApp, qps: f64, secs: u64, seed: u64) -> (u6
 /// * `cpu_quantum = 0.5 µs` over 400 µs endpoints makes ~800 cheap
 ///   timeslice events per request, so the metric measures the engine's
 ///   event loop, not model bookkeeping;
-/// * the fabric latencies are enlarged (ms-scale) so the conservative
-///   lookahead window is fat and epoch barriers are rare — the regime a
-///   real multi-machine deployment's 100 µs+ RPC delays put it in;
+/// * the fabric latencies are enlarged (ms-scale) so the epoch window is
+///   fat and epoch barriers are rare — the regime a real multi-machine
+///   deployment's 100 µs+ RPC delays put it in. The cruncher makes no
+///   calls, so its only cross-shard hops are injections and client
+///   replies, and the window is the 4 ms floor of the 20 ms client link
+///   (see `Simulation::lookahead_ns`);
 /// * 16 instances spread over all 8 machines keep every shard busy
 ///   inside each epoch.
 pub fn fig22_kernel() -> (BuiltApp, dsb_core::ClusterSpec) {

@@ -163,6 +163,11 @@ impl ChaosPlan {
     /// in place, by the [`ChaosEvent::MachineCrash`]es its seeded draws
     /// pick, in draw order. What the simulator applies; a pure function
     /// of the plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a churn with a zero `period` over a non-empty window:
+    /// its crashes would never stop.
     pub(crate) fn expand(&self) -> Vec<ChaosEvent> {
         let mut out = Vec::with_capacity(self.events.len());
         for (i, ev) in self.events.iter().enumerate() {
@@ -178,6 +183,10 @@ impl ChaosPlan {
                 out.push(ev.clone());
                 continue;
             };
+            assert!(
+                *period > SimDuration::ZERO || from >= until,
+                "chaos event {i} ({ev:?}) churns with a zero period"
+            );
             if machines.is_empty() {
                 continue;
             }

@@ -19,11 +19,13 @@
 //! default) one lane holds every shard and runs straight to the horizon
 //! with no barriers and no threads: the serial path `dsb-bench`
 //! measures. At `W ≥ 2` every shard is a lane of its own, and the lanes
-//! advance in conservative lookahead windows of `lookahead_ns` (the
-//! minimum cross-shard fabric latency), exchanging cross-lane messages
-//! as `(time, key)`-sorted batches at epoch barriers. In each window
-//! the `W` worker threads claim lanes until none is left, so a thread
-//! that drew a light lane takes another instead of waiting for a peer.
+//! advance in conservative windows as wide as the smallest fabric floor
+//! among the cross-shard hops the run can make
+//! ([`Simulation::lookahead_ns`]), exchanging cross-lane messages as
+//! `(time, key)`-sorted batches at epoch barriers. In each window the
+//! worker threads (`W`, at most one per host CPU) claim lanes until
+//! none is left, so a thread that drew a light lane takes another
+//! instead of waiting for a peer.
 //!
 //! Determinism across worker counts rests on one invariant: **every**
 //! event's tie-break key is minted from its shard's own counter —
@@ -34,7 +36,7 @@
 //! traces and statistics. `tests/parallel_conformance.rs` pins this.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dsb_net::{Fabric, FpgaOffload, MsgCosts, Nic, Protocol, Zone};
 use dsb_simcore::{
@@ -115,8 +117,6 @@ struct MachineMeta {
     zone: Zone,
     core: CoreModel,
     offload: FpgaOffload,
-    /// Crashed by a chaos fault; requests to its instances fail fast.
-    down: bool,
 }
 
 /// Network fault state installed by a [`crate::ChaosPlan`]: partition
@@ -239,8 +239,11 @@ struct SharedState {
     sf_cache: Vec<f64>,
     /// Memoized reference-core IPC per service.
     ref_ipc_cache: Vec<f64>,
-    /// Conservative lookahead: no cross-shard message can arrive sooner
-    /// than this many ns after it is sent. See [`cluster_lookahead`].
+    /// The model lookahead: no cross-shard message can arrive sooner
+    /// than this many ns after it is sent. Fail-fast notices and crash
+    /// kills travel exactly this long, and partition timeouts and
+    /// injections are floored at it. See [`cluster_lookahead`]; the
+    /// epoch window is derived separately ([`Simulation::lookahead_ns`]).
     lookahead_ns: u64,
     /// Active network faults (`None` when no chaos plan touched the
     /// fabric — the hot path pays one pointer check).
@@ -285,11 +288,14 @@ impl SharedState {
     }
 }
 
-/// The conservative lookahead bound for a cluster: the smallest latency
-/// any cross-shard message (machine↔machine, machine↔client shard, or
-/// injection) can experience. Derived from [`Fabric::min_delay`] over
-/// every zone pair that can actually occur between *distinct* machines,
-/// plus the Client/Edge origins traffic is injected from.
+/// The model lookahead of a cluster: the smallest latency any
+/// cross-shard message (machine↔machine, machine↔client shard, or
+/// injection) could experience on it, whatever the app. Derived from
+/// [`Fabric::min_delay`] over every zone pair that can occur between
+/// *distinct* machines, plus the Client/Edge origins traffic may be
+/// injected from. A model constant (the delay of fail-fast notices and
+/// the floor of partition timeouts and injections), not the epoch
+/// window, which follows the hops a run can actually make.
 fn cluster_lookahead(fabric: &Fabric, machines: &[MachineMeta]) -> u64 {
     // Count machines per zone (Zone is not Ord; a tiny Vec scan is fine
     // for construction-time work).
@@ -1864,6 +1870,14 @@ fn lane_of(shard: usize, lanes: usize) -> usize {
     (shard as u32 % lanes as u32) as usize
 }
 
+/// The host's CPU count, read once per process: a read costs tens of
+/// µs, more than a whole `Simulation::new`. It caps the epoch threads,
+/// which changes nothing a run computes.
+fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Lane `index` of `count` in one run: its wheel, and exclusive access
 /// to the shards it owns (`shards[s]` is `Some` iff `lane_of(s, count)
 /// == index`).
@@ -1980,9 +1994,17 @@ pub struct Simulation {
     /// The events of every installed plan, churn expanded (see
     /// [`ChaosPlan::expand`]); boundaries name them by index.
     chaos_events: Vec<ChaosEvent>,
+    /// The active [`ChaosEvent::MachineCrash`]es and
+    /// [`ChaosEvent::CacheLoss`]es, as indices into `chaos_events`. A
+    /// machine is down while one of its crashes is active; an instance
+    /// while its machine is down or a cache loss of it is active.
+    crashes: Vec<usize>,
     /// The last installed plan, kept as ground truth for detection
     /// scorers.
     chaos_plan: Option<ChaosPlan>,
+    /// Every origin other than [`Zone::Client`] injected from so far;
+    /// each bounds the epoch window (see [`Simulation::lookahead_ns`]).
+    origins: Vec<Zone>,
     placer: crate::placement::Placer,
     instance_startup: SimDuration,
     /// Cluster-wide trace view: after every run, the aggregates and
@@ -2005,7 +2027,6 @@ impl Simulation {
                 zone: m.zone,
                 core: m.core,
                 offload: FpgaOffload::disabled(),
-                down: false,
             })
             .collect();
         let fabric = Fabric::new(cluster.fabric);
@@ -2072,7 +2093,9 @@ impl Simulation {
             boundaries: BTreeMap::new(),
             clock_floor: 0,
             chaos_events: Vec::new(),
+            crashes: Vec::new(),
             chaos_plan: None,
+            origins: Vec::new(),
             placer,
             instance_startup: cluster.instance_startup,
             merged_collector: TraceCollector::new(cluster.window, cluster.trace_sample_prob, cseed),
@@ -2110,9 +2133,17 @@ impl Simulation {
     // -- Driver --------------------------------------------------------------
 
     /// Deals the shards into their lanes and runs every event at or
-    /// before `until_ns`.
+    /// before `until_ns`. Two or more lanes run in windows of
+    /// [`Simulation::lookahead_ns`], on at most one thread per host CPU:
+    /// a spin barrier waiting on a descheduled worker only burns time.
     fn run_events(&mut self, until_ns: u64) {
         let count = self.lanes.len();
+        // A lone lane runs straight to `until_ns` and ignores the window.
+        let (window_ns, threads) = if count == 1 {
+            (self.shared.lookahead_ns, 1)
+        } else {
+            (self.lookahead_ns(), self.workers.min(host_cpus()))
+        };
         let n = self.shards.len();
         let mut lanes: Vec<Lane> = self
             .lanes
@@ -2128,14 +2159,7 @@ impl Simulation {
         for (s, st) in self.shards.iter_mut().enumerate() {
             lanes[lane_of(s, count)].shards[s] = Some(st);
         }
-        let lookahead_ns = self.shared.lookahead_ns;
-        run_epochs(
-            &self.shared,
-            &mut lanes,
-            self.workers,
-            lookahead_ns,
-            until_ns,
-        );
+        run_epochs(&self.shared, &mut lanes, threads, window_ns, until_ns);
     }
 
     // -- Chaos surface -------------------------------------------------------
@@ -2145,11 +2169,21 @@ impl Simulation {
     /// and is undone at another, applied between event runs, so faults
     /// take effect at quiesced instants — byte-identically at any worker
     /// count. Events at the same instant apply in plan order, a start
-    /// before its own end. Partition timeouts are clamped up to the
-    /// cluster lookahead so the epoch engine stays conservative (the
-    /// DSB015 floor). Plans installed one after another each keep their
-    /// own faults; the last one is retained as ground truth, exposed via
+    /// before its own end. Faults compose: a machine stays down while
+    /// any of its crashes is active, an instance while its machine is
+    /// down or a cache loss of it is active, and each end undoes only
+    /// its own event. Fail-fast notices travel one model lookahead
+    /// (`cluster_lookahead`) and partition timeouts are clamped up to
+    /// it (the DSB015 floor), so once a plan is installed the epoch
+    /// window narrows to that lookahead ([`Simulation::lookahead_ns`]).
+    /// Plans installed one after another each keep their own faults;
+    /// the last one is retained as ground truth, exposed via
     /// [`Simulation::chaos_plan`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`ChaosEvent::EdgeChurn`] with a zero `period` over
+    /// a non-empty window, whose crashes would never stop.
     pub fn install_chaos(&mut self, plan: &ChaosPlan) {
         let first = self.chaos_events.len();
         self.chaos_events.extend(plan.expand());
@@ -2192,8 +2226,10 @@ impl Simulation {
                     machine, cold_for, ..
                 } => {
                     if start {
+                        self.crashes.push(i);
                         self.crash_machine(machine, tc);
                     } else {
+                        self.crashes.retain(|&j| j != i);
                         self.restart_machine(machine, tc, cold_for);
                     }
                 }
@@ -2205,8 +2241,10 @@ impl Simulation {
                 } => {
                     if let Some(id) = self.nth_instance(service, shard) {
                         if start {
+                            self.crashes.push(i);
                             self.crash_instance(id, tc);
                         } else {
+                            self.crashes.retain(|&j| j != i);
                             self.restore_instance(id, tc, cold_for);
                         }
                     }
@@ -2240,10 +2278,6 @@ impl Simulation {
     }
 
     fn crash_machine(&mut self, m: MachineId, tc: u64) {
-        if self.shared.machines[m.0 as usize].down {
-            return;
-        }
-        self.shared.machines[m.0 as usize].down = true;
         let victims: Vec<InstanceId> = self
             .shared
             .insts
@@ -2259,10 +2293,6 @@ impl Simulation {
     }
 
     fn restart_machine(&mut self, m: MachineId, tc: u64, cold_for: SimDuration) {
-        if !self.shared.machines[m.0 as usize].down {
-            return;
-        }
-        self.shared.machines[m.0 as usize].down = false;
         for i in 0..self.shared.insts.len() {
             if self.shared.insts[i].machine == m {
                 self.restore_instance(InstanceId(i as u32), tc, cold_for);
@@ -2279,14 +2309,29 @@ impl Simulation {
         self.kill_shard_work(meta.machine.0 as usize, &[id], tc);
     }
 
+    /// Brings a crashed instance back up, cold for `cold_for`, unless
+    /// an active crash of its machine or cache loss of it keeps it down.
     fn restore_instance(&mut self, id: InstanceId, tc: u64, cold_for: SimDuration) {
         let meta = self.shared.insts[id.0 as usize];
-        if meta.state != InstanceState::Down {
+        if meta.state != InstanceState::Down || self.kept_down(id) {
             return;
         }
         self.shared.insts[id.0 as usize].state = InstanceState::Up;
         self.shared.chaos_cold[id.0 as usize] = tc.saturating_add(cold_for.as_nanos());
         self.reset_inst_rt(meta.machine.0 as usize, id);
+    }
+
+    /// Whether an active crash of the instance's machine, or an active
+    /// cache loss of the instance, holds it down.
+    fn kept_down(&self, id: InstanceId) -> bool {
+        let machine = self.shared.insts[id.0 as usize].machine;
+        self.crashes.iter().any(|&j| match self.chaos_events[j] {
+            ChaosEvent::MachineCrash { machine: m, .. } => m == machine,
+            ChaosEvent::CacheLoss { service, shard, .. } => {
+                self.nth_instance(service, shard) == Some(id)
+            }
+            ref other => unreachable!("not a crash: {other:?}"),
+        })
     }
 
     fn reset_inst_rt(&mut self, shard: usize, id: InstanceId) {
@@ -2393,8 +2438,9 @@ impl Simulation {
     /// byte-identical results at every count. `1` (the default) keeps
     /// every shard in one lane on the calling thread, with no epoch
     /// barriers. `n ≥ 2` makes every shard a lane of its own; in each
-    /// epoch window `min(n, shards)` threads claim lanes until none is
-    /// left. `now()` and `events_processed()` carry over unchanged.
+    /// epoch window `min(n, shards, host CPUs)` threads claim lanes
+    /// until none is left. `now()` and `events_processed()` carry over
+    /// unchanged.
     ///
     /// # Panics
     ///
@@ -2423,9 +2469,68 @@ impl Simulation {
     }
 
     /// The conservative cross-shard lookahead bound, in nanoseconds:
-    /// the epoch window width when two or more lanes run.
+    /// the epoch window width when two or more lanes run (a lone lane
+    /// runs to the horizon and needs none). It is the smallest
+    /// [`Fabric::min_delay`], in both directions, over the cross-shard
+    /// hops the run can make:
+    /// - each call edge of the app between two distinct machines that
+    ///   host its caller's and its callee's instances (requests and
+    ///   responses);
+    /// - the client link of every machine that hosts an instance
+    ///   (injections and client replies);
+    /// - each origin other than [`Zone::Client`] injected from so far,
+    ///   to and from every machine's zone, raised to the model
+    ///   lookahead as injections are;
+    /// - the model lookahead itself once a chaos plan is installed:
+    ///   fail-fast notices and crash kills travel that long.
+    ///
+    /// The model lookahead (`cluster_lookahead`) bounds every zone pair
+    /// the cluster could use, so the window is never narrower. It
+    /// follows placement: each run reads it afresh, so instances added
+    /// mid-run narrow it from their first run on.
     pub fn lookahead_ns(&self) -> u64 {
-        self.shared.lookahead_ns
+        let sh = &self.shared;
+        if self.chaos_plan.is_some() {
+            return sh.lookahead_ns;
+        }
+        let zone = |m: MachineId| sh.machines[m.0 as usize].zone;
+        let floor = |a: Zone, b: Zone| {
+            let (f, r) = (sh.fabric.min_delay(a, b), sh.fabric.min_delay(b, a));
+            f.min(r).as_nanos()
+        };
+        // The machines each service's instances sit on.
+        let hosts: Vec<Vec<MachineId>> = sh
+            .services
+            .iter()
+            .map(|rt| {
+                let mut ms: Vec<MachineId> = rt
+                    .instances
+                    .iter()
+                    .chain(&rt.pinned)
+                    .map(|i| sh.insts[i.0 as usize].machine)
+                    .collect();
+                ms.sort_unstable();
+                ms.dedup();
+                ms
+            })
+            .collect();
+        let mut window = u64::MAX;
+        for (caller, callee) in sh.app.edges() {
+            for &a in &hosts[caller.0 as usize] {
+                for &b in hosts[callee.0 as usize].iter().filter(|&&b| b != a) {
+                    window = window.min(floor(zone(a), zone(b)));
+                }
+            }
+        }
+        for &m in hosts.iter().flatten() {
+            window = window.min(floor(Zone::Client, zone(m)));
+        }
+        for &origin in &self.origins {
+            for m in &sh.machines {
+                window = window.min(floor(origin, m.zone).max(sh.lookahead_ns));
+            }
+        }
+        window.max(1)
     }
 
     /// Schedules one client request at `at` from the default client zone.
@@ -2455,6 +2560,9 @@ impl Simulation {
         // arrival (each lane's wheel would otherwise clamp against its
         // own clock).
         let at = at.max(self.now());
+        if origin != Zone::Client && !self.origins.contains(&origin) {
+            self.origins.push(origin);
+        }
         let cs = self.shards.len() - 1;
         let st = &mut self.shards[cs];
         let id = st.inject_pool.alloc(InjectReq {
@@ -3760,6 +3868,66 @@ mod tests {
                 assert_eq!(latency(Some(second), workers), alone, "{at}");
             }
         }
+    }
+
+    /// Crashes compose like partitions: the back tier stays down while
+    /// any crash of its machine, or a cache loss of its instance, is
+    /// active, so a request at 10 ms fails in both cases. A second crash
+    /// of the back machine over [2, 3) ms ends inside the first, over
+    /// [1 ms, 1 s); a cache loss of the back instance over [1, 5) ms
+    /// ends inside a crash of its machine over [2 ms, 1 s).
+    #[test]
+    fn overlapping_crashes_compose() {
+        let (app, root, machines) = front_back();
+        let cluster = ClusterSpec::xeon_cluster(4, 1);
+        let ms = SimTime::from_millis;
+        let crash = |machine: MachineId, at: [u64; 2]| ChaosEvent::MachineCrash {
+            machine,
+            at: ms(at[0]),
+            restart_after: ms(at[1]) - ms(at[0]),
+            cold_for: SimDuration::ZERO,
+        };
+        for with_loss in [false, true] {
+            for workers in [1, 4] {
+                let faults = |sim: &Simulation| {
+                    let [_, b] = machines(sim);
+                    if !with_loss {
+                        return vec![crash(b, [1, 1000]), crash(b, [2, 3])];
+                    }
+                    let loss = ChaosEvent::CacheLoss {
+                        service: sim.app().service_by_name("back").unwrap(),
+                        shard: 0,
+                        at: ms(1),
+                        restart_after: SimDuration::from_millis(4),
+                        cold_for: SimDuration::ZERO,
+                    };
+                    vec![loss, crash(b, [2, 1000])]
+                };
+                let st = one_request(&app, root, &cluster, workers, faults, ms(50));
+                let at = format!("cache loss {with_loss}, workers={workers}");
+                assert_eq!((st.completed, st.failed), (0, 1), "{at}");
+            }
+        }
+    }
+
+    /// A churn with a zero period would crash machines at its first
+    /// instant forever; installing it panics instead.
+    #[test]
+    #[should_panic(expected = "churns with a zero period")]
+    fn zero_period_churn_is_rejected() {
+        let mut sim = Simulation::new(one_tier().0, ClusterSpec::xeon_cluster(4, 1), 1);
+        let churn = ChaosEvent::EdgeChurn {
+            machines: vec![MachineId(0)],
+            from: SimTime::ZERO,
+            until: SimTime::from_secs(1),
+            period: SimDuration::ZERO,
+            down_for: SimDuration::from_millis(10),
+            cold_for: SimDuration::ZERO,
+        };
+        sim.install_chaos(&ChaosPlan {
+            seed: 1,
+            events: vec![churn],
+        });
     }
 
     /// NIC degradation stretches every hop to or from the degraded

@@ -14,17 +14,26 @@
 //! * serialized trace bytes (every sampled span, field by field), and
 //! * the rendered `dsb-report` output (JSONL + `dsb-top` table)
 //!
-//! against the `workers = 1` run. Coverage: all 8 builtins plus a
-//! 64-seed `dsb-gen` sweep, and the runtime epoch width is checked
-//! against the static DSB015 `LookaheadCertificate` where one exists.
+//! against the `workers = 1` run. A host with fewer CPUs than workers
+//! runs them on one epoch thread per CPU (`Simulation::set_workers`);
+//! the lanes and windows are the same at every thread count. Coverage:
+//! all 8 builtins plus a 64-seed `dsb-gen` sweep, and the runtime epoch
+//! width is checked against the static DSB015 `LookaheadCertificate`
+//! where one exists. The ms-fabric case pins the width itself: the one
+//! run whose window is wider than the model lookahead, at a jitter that
+//! puts a third of all hops exactly on their floor.
 
 mod common;
 
 use deathstarbench_sim::analyzer::lookahead_certificate;
 use deathstarbench_sim::apps::{self, BuiltApp};
-use deathstarbench_sim::core::{ClusterSpec, Simulation};
+use deathstarbench_sim::core::{
+    AppBuilder, AppSpec, ChaosEvent, ChaosPlan, ClusterSpec, EndpointRef, MachineId, RequestType,
+    Simulation, Step,
+};
 use deathstarbench_sim::experiments::observe;
-use deathstarbench_sim::simcore::SimTime;
+use deathstarbench_sim::net::Zone;
+use deathstarbench_sim::simcore::{Dist, SimDuration, SimTime};
 use deathstarbench_sim::workload::{OpenLoop, UserPopulation};
 use dsb_gen::GenSpec;
 
@@ -279,5 +288,169 @@ fn generated_apps_conform() {
                 "gen seed {seed}: digest diverged at workers={w} (spec {g:?})"
             );
         }
+    }
+}
+
+/// A front tier of `n` instances calling a back tier of `n`; with
+/// `colocate`, back instance `k` shares front instance `k`'s machine.
+fn ms_front_back(n: u32, colocate: bool) -> (AppSpec, EndpointRef) {
+    let mut app = AppBuilder::new("ms-front-back");
+    let front = app.service("front").event_driven().instances(n).build();
+    let back = app.service("back").instances(n);
+    let back = if colocate {
+        back.colocate_with(front)
+    } else {
+        back
+    }
+    .build();
+    let get = app.endpoint(
+        back,
+        "get",
+        Dist::constant(512.0),
+        vec![Step::work_us(20.0)],
+    );
+    let root = app.endpoint(
+        front,
+        "root",
+        Dist::constant(512.0),
+        vec![Step::work_us(10.0), Step::call(get, 256.0)],
+    );
+    (app.build(), root)
+}
+
+/// What one ms-fabric run must reproduce at every worker count: events,
+/// totals, failures and latency quantiles.
+type MsDigest = (u64, (u64, u64, u64), u64, [u64; 4]);
+
+/// What an ms-fabric run adds to plain client load.
+#[derive(Clone, Copy)]
+enum MsRun {
+    Plain,
+    /// A crash of machine 3 over [40, 120) ms and a partition of racks
+    /// 0|1 machines over [80, 200) ms with timeout 0.
+    Chaos,
+    /// Every third request comes from [`Zone::Edge`].
+    Edge,
+    /// A second `front` instance joins at 150 ms.
+    AddFront,
+}
+
+/// 300 requests into `entry`, one a millisecond, on the ms fabric,
+/// under `run`. Returns the digest and the epoch window read before
+/// the injections, after them and after 150 ms.
+fn ms_fabric_run(
+    app: &AppSpec,
+    entry: EndpointRef,
+    workers: usize,
+    run: MsRun,
+) -> (MsDigest, [u64; 3]) {
+    let mut cluster = ClusterSpec::xeon_cluster(8, 2);
+    cluster.trace_sample_prob = 0.0;
+    cluster.fabric.intra_rack_ns = 10_000_000;
+    cluster.fabric.cross_rack_ns = 15_000_000;
+    cluster.fabric.client_ns = 20_000_000;
+    cluster.fabric.wireless_ns = 1_500_000;
+    cluster.fabric.jitter_frac = 2.0;
+    let ms = SimTime::from_millis;
+    let wall = std::time::Instant::now();
+    let mut sim = Simulation::new(app.clone(), cluster, 5);
+    sim.set_workers(workers);
+    if let MsRun::Chaos = run {
+        let events = vec![
+            ChaosEvent::MachineCrash {
+                machine: MachineId(3),
+                at: ms(40),
+                restart_after: SimDuration::from_millis(80),
+                cold_for: SimDuration::ZERO,
+            },
+            ChaosEvent::Partition {
+                a: (0..4).map(MachineId).collect(),
+                b: (4..8).map(MachineId).collect(),
+                from: ms(80),
+                until: ms(200),
+                timeout: SimDuration::ZERO,
+            },
+        ];
+        sim.install_chaos(&ChaosPlan { seed: 5, events });
+    }
+    let before = sim.lookahead_ns();
+    for i in 0..300u64 {
+        let origin = match run {
+            MsRun::Edge if i % 3 == 0 => Zone::Edge,
+            _ => Zone::Client,
+        };
+        sim.inject_from(ms(i), entry, RequestType(0), 256, i, origin);
+    }
+    let injected = sim.lookahead_ns();
+    sim.advance_to(ms(150));
+    if let MsRun::AddFront = run {
+        sim.add_instance_now(sim.app().service_by_name("front").unwrap());
+    }
+    let late = sim.lookahead_ns();
+    sim.run_until_idle();
+    let st = sim.request_stats(RequestType(0)).expect("requests ran");
+    let q = |p| st.latency.quantile(p);
+    let digest = (
+        sim.events_processed(),
+        common::totals(&sim),
+        st.failed,
+        [q(0.5), q(0.9), q(0.99), st.latency.max()],
+    );
+    record_wall_time(workers, wall.elapsed().as_secs_f64());
+    (digest, [before, injected, late])
+}
+
+/// The ms-fabric case, the one conformance run whose epoch window is
+/// wider than the model lookahead. Its floors are 2 ms intra-rack,
+/// 3 ms cross-rack, 4 ms to the client and 0.3 ms over the wireless
+/// link, which sets the model lookahead. At a jitter of 2.0 about a
+/// third of all hops land exactly on their floor (at the default 0.1 no
+/// hop comes near it, and a window too wide goes unnoticed), so a
+/// window wider than its hops allow trips the epoch driver's `at >
+/// last` assertion in the checked CI step, and diverges from
+/// `workers = 1` here; the parallel runs come before the window pins
+/// for that reason. Each run pins the window its hops set:
+///
+/// * front→back, 8 instances each: the intra-rack floor, 2 ms;
+/// * a single-tier app, which makes no calls: the client floor, 4 ms;
+/// * front→back under a machine crash and a partition whose timeout 0
+///   is clamped to the model lookahead: that lookahead, 0.3 ms;
+/// * front→back with a third of its requests from the Edge: the
+///   wireless floor, 0.3 ms, from the first Edge injection on;
+/// * back co-located with front, one instance each: 4 ms, then 3 ms
+///   (cross-rack) once a second front instance joins mid-run on the
+///   other rack.
+#[test]
+fn ms_fabric_windows_conform() {
+    const MS: u64 = 1_000_000;
+    const L: u64 = 300_000;
+    let (two_tier, root) = ms_front_back(8, false);
+    let (colo, colo_root) = ms_front_back(1, true);
+    let (one_tier, op) = {
+        let mut app = AppBuilder::new("ms-one-tier");
+        let svc = app.service("svc").event_driven().instances(8).build();
+        let op = app.endpoint(svc, "op", Dist::constant(512.0), vec![Step::work_us(20.0)]);
+        (app.build(), op)
+    };
+    for (name, app, entry, run, windows) in [
+        ("front-back", &two_tier, root, MsRun::Plain, [2 * MS; 3]),
+        ("one-tier", &one_tier, op, MsRun::Plain, [4 * MS; 3]),
+        ("chaos", &two_tier, root, MsRun::Chaos, [L; 3]),
+        ("edge", &two_tier, root, MsRun::Edge, [2 * MS, L, L]),
+        (
+            "co-located",
+            &colo,
+            colo_root,
+            MsRun::AddFront,
+            [4 * MS, 4 * MS, 3 * MS],
+        ),
+    ] {
+        let (serial, read) = ms_fabric_run(app, entry, 1, run);
+        assert!(serial.1 .1 > 0, "{name}: nothing completed: {serial:?}");
+        for w in [2, 4] {
+            let (par, _) = ms_fabric_run(app, entry, w, run);
+            assert_eq!(serial, par, "{name}: diverged at workers={w}");
+        }
+        assert_eq!(read, windows, "{name}: epoch windows");
     }
 }
