@@ -99,22 +99,29 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets (warn-free, outside the budget)"
+echo "==> cargo clippy --workspace --all-targets (warn-free, determinism bans, outside the budget)"
 # Lints regress silently otherwise, one warning at a time. Every target
-# of the workspace (tests, examples, binaries) is held to zero warnings;
-# perfsuite/ is a package of its own and is not linted here.
-cargo clippy -q --release --offline --workspace --all-targets -- -D warnings
+# of the workspace (tests, examples, binaries) is held to zero warnings.
+# This step also enforces the determinism bans: clippy.toml bans hash
+# containers, wall clocks, interior mutability, channels and threads by
+# path, and -F unsafe-code rejects `static mut` (every access to one
+# needs `unsafe`) with no exemption possible. An intended use carries an
+# #[expect] at the item, which fails here once it goes stale, and
+# crates/analyzer/tests/determinism_rules.rs fails here if a ban stops
+# firing. perfsuite/ is a package of its own and is not linted here.
+cargo clippy -q --release --offline --workspace --all-targets -- -D warnings -F unsafe-code
 
 echo "==> cargo doc --workspace --no-deps --offline (warn-free)"
 # rustdoc warnings (broken intra-doc links, bad code fences) regress
 # silently otherwise; docs are a first-class deliverable here.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
-echo "==> dsb-lint (spec pass + determinism source pass, budget: 5s)"
+echo "==> dsb-lint (spec pass + float-accumulation source pass, budget: 5s)"
 # The lint gate must stay cheap enough to run on every commit: the
-# source pass lexes all of crates/*/src and the spec pass runs eight
-# calibration sims, so a pathological regression in either shows up
-# here as a hard failure.
+# source pass lexes all of crates/*/src looking for float `+=` in loops
+# over .keys()/.values() (the one determinism rule clippy's path bans
+# cannot express) and the spec pass runs eight calibration sims, so a
+# pathological regression in either shows up here as a hard failure.
 LINT_BUDGET_S=5
 lint_start=$(date +%s)
 cargo run -q --release --offline -p dsb-analyzer --bin dsb-lint

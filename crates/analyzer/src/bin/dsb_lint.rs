@@ -11,17 +11,20 @@
 //!    clean: any diagnostic fails the gate.
 //!    Each app also prints its DSB015 lookahead certificate — the
 //!    minimum safe epoch a conservative parallel engine could use.
-//! 2. **Source pass** — runs the determinism lint over the simulator's
-//!    sources, `crates/` and the root `src/`, against the
-//!    `determinism_allow.txt` allowlist at the repo root. Any unallowed
-//!    hazard, or any allowlist entry that no longer matches, fails the
-//!    gate. `perfsuite/` is out of scope: it is a separate package that
-//!    measures host time, so reading the wall clock is its job.
+//! 2. **Source pass** — runs the float-accumulation lint
+//!    ([`dsb_analyzer::srclint`]) over the simulator's sources, `crates/`
+//!    and the root `src/`: any float `+=` inside a `for` loop over
+//!    `.keys()`/`.values()` fails the gate, with no exemptions. The other
+//!    determinism rules are clippy bans (`clippy.toml` at the repo root,
+//!    plus `-F unsafe-code`), which `ci.sh`'s clippy step enforces on
+//!    every workspace target. `perfsuite/` is out of scope for both: it
+//!    is a separate package that measures host time, so reading the wall
+//!    clock is its job.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use dsb_analyzer::{lint_sources, lookahead_certificate, Allowlist, Analyzer};
+use dsb_analyzer::{lint_sources, lookahead_certificate, Analyzer};
 use dsb_core::{ClusterSpec, MachineSpec};
 
 /// The reference cluster of `tests/common/mod.rs::fixed_cluster()`: 8
@@ -78,23 +81,11 @@ fn main() -> ExitCode {
             }
         }
     }
-    println!("== dsb-lint: source pass (determinism hazards) ==");
-    let allow_path = repo_root.join("determinism_allow.txt");
-    let mut allow = match Allowlist::load(&allow_path) {
-        Ok(a) => a,
-        Err(e) => {
-            println!("  cannot load {}: {e}", allow_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    match lint_sources(&repo_root, &["crates", "src"], &mut allow) {
+    println!("== dsb-lint: source pass (float accumulation in keyed loops) ==");
+    match lint_sources(&repo_root, &["crates", "src"]) {
         Ok(findings) => {
             for f in &findings {
                 println!("  {f}");
-                failed = true;
-            }
-            for stale in allow.unused() {
-                println!("  stale allowlist entry (delete it): {stale}");
                 failed = true;
             }
             if findings.is_empty() {

@@ -30,10 +30,13 @@
 //! Entry points: [`analyze`] for pure spec checks, [`Analyzer`] to add
 //! entry-point and offered-load context, [`model::lookahead_certificate`]
 //! for the per-app parallel-lookahead certificate DSB015 is built on,
-//! and [`srclint`] for the determinism source lint that protects the
-//! golden-trace contract (no `HashMap` iteration, wall clocks, unseeded
-//! randomness, interior mutability, or stray threads in sim-visible
-//! code). The `dsb-lint` binary runs both passes over the eight built-in
+//! and [`srclint`] for the one determinism rule of the golden-trace
+//! contract that no path ban can express: float `+=` inside a loop over
+//! `.keys()`/`.values()`. The rest of that contract (no hash-container
+//! iteration, wall clocks, unseeded randomness, interior mutability, or
+//! stray threads) is banned by path in the workspace's `clippy.toml`,
+//! plus `-F unsafe-code` for `static mut`, both run by `ci.sh`'s clippy
+//! step. The `dsb-lint` binary runs both passes over the eight built-in
 //! applications and `crates/*/src`.
 
 #![warn(missing_docs)]
@@ -44,7 +47,7 @@ pub mod srclint;
 
 pub use checks::{analyze, Analyzer};
 pub use model::{lookahead_certificate, CapacityModel, LookaheadCertificate};
-pub use srclint::{lint_sources, Allowlist, AllowlistError, SourceFinding};
+pub use srclint::{lint_sources, SourceFinding};
 
 use std::fmt;
 

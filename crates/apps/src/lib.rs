@@ -416,7 +416,7 @@ mod tests {
                 "{}",
                 app.spec.name
             );
-            let unique: std::collections::HashSet<_> = app.order.iter().collect();
+            let unique: std::collections::BTreeSet<_> = app.order.iter().collect();
             assert_eq!(unique.len(), app.order.len(), "{}", app.spec.name);
             assert_eq!(*app.order.last().unwrap(), app.frontend);
         }

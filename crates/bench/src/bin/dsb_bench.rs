@@ -25,6 +25,10 @@
 //! `ci.sh` writes `BENCH_0.json` / `BENCH_1.json` when absent; the
 //! committed files are the baseline snapshots for eyeballing against
 //! later runs.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the perf baseline times simulated work against the wall clock by design"
+)]
 
 use std::time::Instant;
 

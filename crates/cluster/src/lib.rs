@@ -399,7 +399,7 @@ mod tests {
         let mut rng = Rng::new(9);
         let slowed = slow_down_machines(&mut sim, 0.25, 1.0, &mut rng);
         assert_eq!(slowed.len(), 5);
-        let unique: std::collections::HashSet<_> = slowed.iter().collect();
+        let unique: std::collections::BTreeSet<_> = slowed.iter().collect();
         assert_eq!(unique.len(), 5, "no duplicates");
     }
 

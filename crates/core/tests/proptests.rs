@@ -2,7 +2,7 @@
 //! request conservation over randomized applications, and determinism —
 //! on the in-repo `dsb-testkit` engine.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use dsb_core::{
     AppBuilder, ClusterSpec, EndpointRef, LbPolicy, RequestType, Simulation, Slab, Step,
@@ -12,7 +12,7 @@ use dsb_testkit::{gen, prop, prop_assert, prop_assert_eq, Shrink};
 use dsb_uarch::ExecDomain;
 
 // ---------------------------------------------------------------------------
-// Slab: model-based testing against a HashMap
+// Slab: model-based testing against a BTreeMap
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, PartialEq)]
@@ -40,13 +40,13 @@ fn arb_ops(rng: &mut Rng) -> Vec<SlabOp> {
     })
 }
 
-/// The slab behaves exactly like a `HashMap` under any operation
+/// The slab behaves exactly like a `BTreeMap` under any operation
 /// sequence, including stale-key misses after removal.
 #[test]
 fn slab_matches_model() {
     prop!(cases = 64, arb_ops, |ops: &Vec<SlabOp>| {
         let mut slab = Slab::new();
-        let mut model: HashMap<usize, u32> = HashMap::new();
+        let mut model: BTreeMap<usize, u32> = BTreeMap::new();
         let mut keys = Vec::new();
         let mut next = 0usize;
         for op in ops {

@@ -1,6 +1,10 @@
 //! Runs every table/figure reproduction in order.
 type Job = fn(dsb_experiments::Scale) -> String;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "CLI progress reporting; never feeds simulated state"
+)]
 fn main() {
     let scale = dsb_experiments::Scale::from_env();
     let jobs: Vec<(&str, Job)> = vec![

@@ -450,7 +450,7 @@ mod tests {
         assert_eq!(
             labels
                 .iter()
-                .collect::<std::collections::HashSet<_>>()
+                .collect::<std::collections::BTreeSet<_>>()
                 .len(),
             3
         );

@@ -248,8 +248,12 @@ fn window_last(start: u64, lookahead_ns: u64, until_ns: u64) -> u64 {
 }
 
 /// The threaded epoch driver. Kept in its own module so the
-/// workspace's sanctioned-concurrency allowlist (`dsb-lint` DSB014)
-/// can scope its thread-pool exemption to exactly this code.
+/// workspace's one exemption from the `std::thread::scope` ban in
+/// `clippy.toml` covers exactly this code.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the certified epoch driver owns its thread pool"
+)]
 mod pool {
     use super::*;
 

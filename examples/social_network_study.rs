@@ -67,7 +67,7 @@ fn main() {
     }
 
     // Critical-path attribution over the sampled traces.
-    let mut totals: std::collections::HashMap<u32, (u64, u64)> = Default::default();
+    let mut totals: std::collections::BTreeMap<u32, (u64, u64)> = Default::default();
     for (_, spans) in sim.collector().sampled_traces() {
         for a in critical_path(spans) {
             let e = totals.entry(a.service).or_insert((0, 0));

@@ -66,6 +66,10 @@ fn record_wall_time(workers: usize, secs: f64) {
 
 /// One run of `app` on `cluster` under `workers` threads; returns the
 /// full observable digest.
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall time feeds only ci.sh's timing report"
+)]
 fn run_digest(
     app: &BuiltApp,
     cluster: &ClusterSpec,
@@ -338,6 +342,10 @@ enum MsRun {
 /// 300 requests into `entry`, one a millisecond, on the ms fabric,
 /// under `run`. Returns the digest and the epoch window read before
 /// the injections, after them and after 150 ms.
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall time feeds only ci.sh's timing report"
+)]
 fn ms_fabric_run(
     app: &AppSpec,
     entry: EndpointRef,
