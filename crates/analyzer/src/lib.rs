@@ -28,26 +28,20 @@
 //! | DSB017 | sole cache tier with replication factor 1 (no fault tolerance) | warning |
 //!
 //! Entry points: [`analyze`] for pure spec checks, [`Analyzer`] to add
-//! entry-point and offered-load context, [`model::lookahead_certificate`]
-//! for the per-app parallel-lookahead certificate DSB015 is built on,
-//! and [`srclint`] for the one determinism rule of the golden-trace
-//! contract that no path ban can express: float `+=` inside a loop over
-//! `.keys()`/`.values()`. The rest of that contract (no hash-container
-//! iteration, wall clocks, unseeded randomness, interior mutability, or
-//! stray threads) is banned by path in the workspace's `clippy.toml`,
-//! plus `-F unsafe-code` for `static mut`, both run by `ci.sh`'s clippy
-//! step. The `dsb-lint` binary runs both passes over the eight built-in
-//! applications and `crates/*/src`.
+//! entry-point and offered-load context, and
+//! [`model::lookahead_certificate`] for the per-app parallel-lookahead
+//! certificate DSB015 is built on. The root package's
+//! `tests/analyzer_report.rs` runs both over the eight built-in
+//! applications on the golden traces' reference cluster: each must
+//! analyze clean, and both reports are pinned by golden fixtures.
 
 #![warn(missing_docs)]
 
 pub mod checks;
 pub mod model;
-pub mod srclint;
 
 pub use checks::{analyze, Analyzer};
 pub use model::{lookahead_certificate, CapacityModel, LookaheadCertificate};
-pub use srclint::{lint_sources, SourceFinding};
 
 use std::fmt;
 
@@ -55,8 +49,8 @@ use dsb_core::ServiceId;
 
 /// How bad a diagnostic is.
 ///
-/// `dsb-lint` (and the CI gate) fail only on [`Severity::Error`];
-/// warnings are reported and pinned by golden fixtures.
+/// A built-in application may carry neither: `tests/analyzer_report.rs`
+/// fails on any diagnostic of one, warning or error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Suspicious but simulatable; the shape the paper warns about.

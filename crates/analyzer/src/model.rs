@@ -616,8 +616,10 @@ pub struct CrossHop {
 /// cross-machine network delay under the deterministic placement plan.
 /// A conservative parallel engine sharded by machine may advance each
 /// shard's clock by this epoch between synchronizations without ever
-/// observing an event out of order — this is the bound the planned
-/// parallel engine (ROADMAP) will run behind.
+/// observing an event out of order. The simulator's epoch window,
+/// [`Simulation::lookahead_ns`](dsb_core::Simulation::lookahead_ns),
+/// runs behind this bound: `tests/parallel_conformance.rs` checks that
+/// it never exceeds a nonzero certificate on any app it runs.
 #[derive(Debug, Clone)]
 pub struct LookaheadCertificate {
     /// Every cross-machine hop, sorted by `(min delay, caller, callee,

@@ -1,4 +1,5 @@
-//! Canaries for the determinism bans in the workspace's `clippy.toml`.
+//! Canaries for the determinism bans in the workspace's `clippy.toml`,
+//! and for clippy's `iter_over_hash_type`.
 //!
 //! Each function uses exactly one banned path, under an `#[expect]` of
 //! the lint that ban raises. `ci.sh` runs clippy on every target with
@@ -11,6 +12,15 @@
 //! `static mut` has no canary: `-F unsafe-code` rejects every access to
 //! one, and under `forbid` an `#[expect(unsafe_code)]` is itself an
 //! error.
+//!
+//! `keyed_loop_over_a_hash_map` pins that clippy's `iter_over_hash_type`
+//! still matches a float sum over a hash container's `.values()`: a
+//! toolchain that stops matching that shape, or renames the lint, fails
+//! clippy. It cannot show that `ci.sh` passes
+//! `-D clippy::iter_over_hash_type`: the lint is allow-by-default, and an
+//! `#[expect]` of it switches it on for its item, so the expectation is
+//! met with the flag or without. Like `-F unsafe-code`, that flag is
+//! guarded only by the clippy step's own command line.
 
 #[test]
 #[expect(clippy::disallowed_types, reason = "canary")]
@@ -34,6 +44,23 @@ fn random_state() {
 #[expect(clippy::disallowed_types, reason = "canary")]
 fn default_hasher() {
     let _ = std::hash::DefaultHasher::new();
+}
+
+/// Summing floats rounds in iteration order, and a hash container's
+/// order is not fixed.
+#[test]
+#[expect(
+    clippy::disallowed_types,
+    clippy::iter_over_hash_type,
+    reason = "canary"
+)]
+fn keyed_loop_over_a_hash_map() {
+    let m = std::collections::HashMap::<u8, f64>::from([(1, 0.5), (2, 0.25)]);
+    let mut total = 0.0;
+    for v in m.values() {
+        total += v;
+    }
+    assert_eq!(total, 0.75);
 }
 
 #[test]

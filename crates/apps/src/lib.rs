@@ -117,10 +117,6 @@ pub fn add_memcached(
     name: &str,
     instances: u32,
 ) -> (ServiceId, EndpointRef, EndpointRef) {
-    debug_assert!(
-        instances >= 2,
-        "cache tier `{name}` is partitioned: give it at least 2 shards"
-    );
     let id = app
         .service(name)
         .profile(UarchProfile::memcached())
@@ -160,10 +156,6 @@ pub fn add_mongodb(
     name: &str,
     instances: u32,
 ) -> (ServiceId, EndpointRef, EndpointRef) {
-    debug_assert!(
-        instances >= 2,
-        "store tier `{name}` is partitioned: give it at least 2 shards"
-    );
     let id = app
         .service(name)
         .profile(UarchProfile::mongodb())
@@ -234,10 +226,6 @@ pub fn add_leaf(
 
 /// Adds a MySQL-style relational database; returns `(id, query)`.
 pub fn add_mysql(app: &mut AppBuilder, name: &str, instances: u32) -> (ServiceId, EndpointRef) {
-    debug_assert!(
-        instances >= 2,
-        "database tier `{name}` is partitioned: give it at least 2 shards"
-    );
     let id = app
         .service(name)
         .profile(UarchProfile::mongodb())

@@ -622,13 +622,6 @@ impl ServiceBuilder<'_> {
 
     /// Registers the service and returns its id.
     pub fn build(self) -> ServiceId {
-        debug_assert!(
-            self.spec.lb != LbPolicy::Partition || self.spec.initial_instances >= 2,
-            "service `{}` uses LbPolicy::Partition over {} instance: give \
-             sharded stores at least 2 shards, or use RoundRobin (DSB008)",
-            self.spec.name,
-            self.spec.initial_instances,
-        );
         let id = ServiceId(self.app.services.len() as u32);
         self.app.services.push(self.spec);
         id

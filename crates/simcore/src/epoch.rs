@@ -11,8 +11,10 @@
 //! window that produced it, so shards cannot observe each other
 //! mid-window and any execution order within a window yields the same
 //! per-shard state. This is the classic conservative (CMB-style)
-//! synchronization protocol; the static analyzer's DSB015 lookahead
-//! certificates prove per-app `L` bounds ahead of time.
+//! synchronization protocol. `dsb-core`'s `Simulation::lookahead_ns`
+//! is the `L` the simulator runs with. The static analyzer's DSB015
+//! lookahead certificate bounds it from above for each app, which the
+//! parallel conformance suite checks.
 //!
 //! Shards are not bound to threads. Each window, the worker threads
 //! claim shards from one shared counter until none is left, so a

@@ -16,7 +16,7 @@
 //! * [`serverless`] — Lambda/EC2 execution + billing models
 //! * [`apps`] — the six end-to-end applications and friends
 //! * [`experiments`] — one module per paper table/figure
-//! * [`analyzer`] — static spec validation and the determinism lint
+//! * [`analyzer`] — static spec validation and lookahead certificates
 //!
 //! See the repository README for a quickstart and `examples/` for runnable
 //! walkthroughs.

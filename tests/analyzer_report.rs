@@ -3,7 +3,9 @@
 //! diagnostic's wording, ordering, or firing conditions shows up as a
 //! reviewable line diff. Every app is analyzed against the same
 //! reference cluster the golden traces run on, with a 1-second DSB012
-//! calibration window. Regenerate with:
+//! calibration window. A built-in app must analyze clean: any finding
+//! on one fails before the fixture is compared or rewritten, so a bless
+//! cannot pin it. Regenerate with:
 //!
 //! ```text
 //! UPDATE_GOLDENS=1 cargo test --offline --test analyzer_report
@@ -13,11 +15,11 @@ mod common;
 
 use std::fmt::Write;
 
-use deathstarbench_sim::analyzer::Analyzer;
+use deathstarbench_sim::analyzer::{Analyzer, Diagnostic};
 use deathstarbench_sim::apps::{self, BuiltApp};
 use dsb_testkit::golden;
 
-fn report(out: &mut String, title: &str, app: &BuiltApp, qps: f64) {
+fn report(out: &mut String, title: &str, app: &BuiltApp, qps: f64) -> Vec<Diagnostic> {
     let cluster = common::fixed_cluster();
     let mut an = Analyzer::new(&app.spec)
         .entry(app.frontend)
@@ -33,18 +35,26 @@ fn report(out: &mut String, title: &str, app: &BuiltApp, qps: f64) {
     if diags.is_empty() {
         writeln!(out, "clean").unwrap();
     }
-    for d in diags {
+    for d in &diags {
         writeln!(out, "{d}").unwrap();
     }
     writeln!(out).unwrap();
+    diags
 }
 
 #[test]
 fn golden_analyzer_report() {
     let mut text = String::new();
+    let mut findings = String::new();
     for (name, qps, app) in apps::all_builtin() {
-        report(&mut text, name, &app, qps);
+        for d in report(&mut text, name, &app, qps) {
+            writeln!(findings, "  {name}: {d}").unwrap();
+        }
     }
+    assert!(
+        findings.is_empty(),
+        "built-in apps must analyze clean; fix the app, not the fixture:\n{findings}"
+    );
     // Defect demos: the analyzer must call out specs built to be broken.
     // The Fig. 17 case-B shape — 64 blocking nginx workers sharing a
     // 2-connection pool toward memcached.
